@@ -2,8 +2,8 @@
 Hermitian surfaces: verification, classification, construction and counting.
 """
 
-from .gf import Field, Embedding, make_field, gf as gf_field, gfq2, gf_ext, \
-    make_embedding, embed, solve_norm, is_prime_power
+from .gf import Field, Embedding, make_field, gfq2, gf_ext, make_embedding, \
+    solve_norm, is_prime_power
 from .matff import Mat, SurfaceSpec, fermat_surface, hermitian_decompose, \
     is_hermitian, twisted_gram, random_hermitian_invertible, random_invertible
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
@@ -14,8 +14,8 @@ from .classify import (ClassificationReport, SolutionSpace, case_shape_check,
                        enumerate_admissible, exists_invertible, solution_space)
 from .orbit import (BigForm, StabilizerReport, CountReport, INFINITE, act,
                     aut_order, build_curve, canonical_rep, count_Td,
-                    count_report, embed_qprime, equivalent, normalize_to_rep,
-                    project_star, q2_representatives, stab_order,
-                    stabilizer_search, sympow, twisted_congruence_solve)
+                    count_report, embed_qprime, normalize_to_rep,
+                    project_star, stab_order, stabilizer_search, sympow,
+                    twisted_congruence_solve)
 
 __version__ = "0.1.0"

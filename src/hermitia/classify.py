@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import gf
 from .matff import Mat
-from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
+from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature, SignatureError,
                     canonical_signature, case_signature, exponent_matrix,
                     is_identically_zero)
 
@@ -177,7 +177,9 @@ def exists_invertible(space: SolutionSpace, strategy: str = "exhaustive",
 # the three expected shapes
 # ---------------------------------------------------------------------------
 
-def _case1_shape(fld, a11, a12, a13, a21, a22, a23):
+def case1_shape(fld, a11, a12, a13, a21, a22, a23) -> Mat:
+    """The degree-(q+1) shape with parameter rows (a11, a12, a13) and
+    (a21, a22, a23)."""
     n = fld.neg
     return Mat(fld, [
         [0, a11, a12, a13],
@@ -187,7 +189,8 @@ def _case1_shape(fld, a11, a12, a13, a21, a22, a23):
     ])
 
 
-def _case23_shape(fld, b1, b2, b3):
+def case23_shape(fld, b1, b2, b3) -> Mat:
+    """The shape shared by the degree-q(q+1) and degree-q(q+1)/2 families."""
     n = fld.neg
     return Mat(fld, [
         [0, b1, 0, b2],
@@ -206,11 +209,11 @@ def case_shape_basis(case: str, q: int, fld=None):
                   (0, 0, 0, 0, 0, 1)]
         if q == 2:
             params += [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)]
-        return [_case1_shape(fld, *p) for p in params]
+        return [case1_shape(fld, *p) for p in params]
     params = [(1, 0, 0), (0, 0, 1)]
     if q == 2:
         params.append((0, 1, 0))
-    return [_case23_shape(fld, *p) for p in params]
+    return [case23_shape(fld, *p) for p in params]
 
 
 def case_shape_check(B: Mat, case: str, q: int) -> bool:
@@ -236,8 +239,7 @@ def case_shape_check(B: Mat, case: str, q: int) -> bool:
             return False
         if q >= 3 and b2 != 0:
             return False
-        expect = _case23_shape(f, b1, b2, b3)
-        return B == expect
+        return B == case23_shape(f, b1, b2, b3)
     raise ClassifyError(f"unknown case {case!r}")
 
 
@@ -253,7 +255,7 @@ def expected_cases(q: int):
     for case, roman in ((CASE_C1, "I"), (CASE_C2, "II"), (CASE_C3, "III")):
         try:
             label = case_signature(case, q)
-        except Exception:
+        except SignatureError:
             continue
         canon = canonical_signature(*label.astuple())
         out[canon] = (roman, case, label, canon != label)
@@ -298,9 +300,6 @@ class ClassificationReport:
     def signatures(self):
         return [e.sig for e in self.admissible]
 
-    def case_signatures(self):
-        return [e.case_sig or e.sig for e in self.admissible]
-
     @property
     def matches_prediction(self) -> bool:
         if any(e.case == "unexpected" for e in self.admissible):
@@ -342,8 +341,7 @@ def canonical_signatures_upto(d_max: int):
                     yield sig
 
 
-def enumerate_admissible(q: int, d_max: Optional[int] = None,
-                         threads: int = 1) -> ClassificationReport:
+def enumerate_admissible(q: int, d_max: Optional[int] = None) -> ClassificationReport:
     """Scan every canonical signature with d <= d_max, keep those whose
     solution space contains an invertible element, and pattern-match each
     admissible space against the expected shapes."""
@@ -354,30 +352,22 @@ def enumerate_admissible(q: int, d_max: Optional[int] = None,
     if d_max < 3:
         raise ClassifyError("d_max must be at least 3")
     expected = expected_cases(q)
-
-    def probe(sig):
+    scanned = 0
+    admissible = []
+    for sig in canonical_signatures_upto(d_max):
+        scanned += 1
         space = solution_space(sig, q)
         verdict = exists_invertible(space)
         if not verdict.invertible:
-            return None
+            continue
+        entry = AdmissibleEntry(sig, None, space.dim, "unexpected",
+                                verdict.witness)
         if sig in expected:
             roman, case, label, flipped = expected[sig]
             if match_case_shape(space, case, q, flipped):
-                return AdmissibleEntry(sig, label, space.dim, roman,
-                                       verdict.witness)
-        return AdmissibleEntry(sig, None, space.dim, "unexpected",
-                               verdict.witness)
-
-    sigs = list(canonical_signatures_upto(d_max))
-    results = _run_parallel(probe, sigs, threads)
-    admissible = sorted((e for e in results if e), key=lambda e: e.sig)
-    stats = {"signatures_scanned": len(sigs), "admissible": len(admissible)}
+                entry = AdmissibleEntry(sig, label, space.dim, roman,
+                                        verdict.witness)
+        admissible.append(entry)
+    admissible.sort(key=lambda e: e.sig)
+    stats = {"signatures_scanned": scanned, "admissible": len(admissible)}
     return ClassificationReport(q, d_max, admissible, stats)
-
-
-def _run_parallel(fn, items, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -42,7 +41,6 @@ class RunConfig:
     d_max: Optional[int] = None
     max_ext: int = 6
     seed: int = 1
-    threads: int = 1
     fmt: str = "json"
     out: Optional[str] = None
     surface_path: Optional[str] = None
@@ -56,7 +54,7 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep 3
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -70,8 +68,6 @@ def _build_parser() -> _Parser:
         if q:
             sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HERMITIA_THREADS", "1")))
         sp.add_argument("--format", dest="fmt", choices=("json", "tsv"),
                         default="json")
         sp.add_argument("--out", default=None)
@@ -135,12 +131,13 @@ def _flatten(doc, prefix=""):
 
 def _check_prime_power(q: int) -> None:
     if not gf.is_prime_power(q):
+        print(f"q={q} is not a prime power", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
 def cmd_classify(cfg: RunConfig) -> int:
     _check_prime_power(cfg.q)
-    report = enumerate_admissible(cfg.q, cfg.d_max, threads=cfg.threads)
+    report = enumerate_admissible(cfg.q, cfg.d_max)
     doc = report.to_json()
     doc["predicted"] = [list(s.astuple())
                         for s in predicted_signatures(cfg.q, report.d_max)]
@@ -172,18 +169,14 @@ def _load_surface(cfg: RunConfig) -> SurfaceSpec:
 
 def cmd_build(cfg: RunConfig) -> int:
     _check_prime_power(cfg.q)
-    try:
-        case_signature(cfg.case, cfg.q)
-    except Exception:
-        raise SystemExit(EXIT_INVALID)
+    case_signature(cfg.case, cfg.q)  # parity check before reading the surface
     surf = _load_surface(cfg)
     try:
         curve = build_curve(cfg.case, cfg.q, surf, max_ext=cfg.max_ext)
     except SearchExhausted as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_EXHAUSTED
-    scan = smoothness_scan(cfg.case, cfg.q, gf.gf_ext(cfg.q, 2),
-                           threads=cfg.threads)
+    scan = smoothness_scan(cfg.case, cfg.q, gf.gf_ext(cfg.q, 2))
     doc = {
         "curve": curve.to_json(),
         "on_surface": on_surface(curve, surf),
@@ -197,13 +190,10 @@ def cmd_build(cfg: RunConfig) -> int:
 def cmd_stabilizer(cfg: RunConfig) -> int:
     _check_prime_power(cfg.q)
     if cfg.q < 3:
+        print(f"stabilizer scans need q >= 3, got q={cfg.q}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    try:
-        report = stabilizer_search(cfg.case, cfg.q, mode=cfg.mode,
-                                   samples=cfg.samples, seed=cfg.seed)
-    except (OrbitError, SignatureError) as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    report = stabilizer_search(cfg.case, cfg.q, mode=cfg.mode,
+                               samples=cfg.samples, seed=cfg.seed)
     _emit(report.to_json(), cfg)
     if report.nondiagonal_hits:
         return EXIT_INCONSISTENT

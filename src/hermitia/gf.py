@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 TABLE_LIMIT = 1 << 20  # build exp/log/Zech tables up to this field size
-_TABLE_LIMIT = TABLE_LIMIT
 
 
 class FieldError(ValueError):
@@ -133,23 +132,8 @@ def _poly_powmod(a, e, mod, p):
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, _poly_divmod_rem(a, b, p)
     return a
-
-
-def _poly_mod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and _poly_trim(a):
-        sh = len(a) - 1 - db
-        f = (a[-1] * inv_lead) % p
-        for j in range(db + 1):
-            a[sh + j] = (a[sh + j] - f * b[j]) % p
-        a = list(_poly_trim(a))
-        if not a:
-            break
-    return _poly_trim(a)
 
 
 def is_irreducible(modulus, p: int) -> bool:
@@ -281,14 +265,7 @@ class Field:
                 if x & top:
                     x ^= mask
             return r
-        a = self.coeffs(x)
-        b = self.coeffs(y)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        rem = _poly_divmod_rem(prod, self.modulus, p)
+        rem = _poly_mulmod(self.coeffs(x), self.coeffs(y), self.modulus, p)
         v = 0
         for c in reversed(rem):
             v = v * p + c
@@ -326,7 +303,7 @@ class Field:
         raise FieldError("no generator found")  # unreachable
 
     def _ensure_tables(self):
-        if self._exp is not None or self.order > _TABLE_LIMIT:
+        if self._exp is not None or self.order > TABLE_LIMIT:
             return
         g = self.generator()
         n = self.order - 1
@@ -490,12 +467,6 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     return _field_cache(p, m, modulus)
 
 
-def gf(q: int) -> Field:
-    """GF(q) with the default modulus, q any prime power."""
-    p, n = prime_power_split(q)
-    return make_field(p, n)
-
-
 def gfq2(q: int) -> Field:
     """The quadratic extension GF(q^2) that hosts conjugation x -> x^q."""
     p, n = prime_power_split(q)
@@ -506,11 +477,6 @@ def gf_ext(q: int, m: int) -> Field:
     """GF(q^(2m)), the degree-m extension of GF(q^2)."""
     p, n = prime_power_split(q)
     return make_field(p, 2 * n * m)
-
-
-def conj(field: Field, x: int, q: int) -> int:
-    """Conjugation x -> x^q inside an extension of GF(q^2)."""
-    return field.pow(x, q)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +523,6 @@ def make_embedding(src: Field, dst: Field) -> Embedding:
     if src.p != dst.p or dst.m % src.m:
         raise FieldError(f"{src} does not embed in {dst}")
     return _embedding_cache((src.p, src.m, src.modulus), (dst.p, dst.m, dst.modulus))
-
-
-def embed(x: int, emb: Embedding) -> int:
-    return emb(x)
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,12 @@ class Mat:
             m.data[i][i] = e
         return m
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.data)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
                 and self.data == other.data)
 
     def __hash__(self):
         return hash((id(self.field), tuple(tuple(r) for r in self.data)))
-
-    def __getitem__(self, rc):
-        return self.data[rc[0]][rc[1]]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)
@@ -91,18 +85,19 @@ class Mat:
             out.append(orow)
         return Mat(f, out)
 
-    def __matmul__(self, other):
-        return self.mul(other)
+    def _entrywise(self, other: "Mat", op) -> "Mat":
+        if self.field is not other.field:
+            raise MatError("field mismatch")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise MatError("shape mismatch")
+        return Mat(self.field, [[op(a, b) for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.data, other.data)])
 
     def add(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return self._entrywise(other, self.field.add)
 
     def sub(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return self._entrywise(other, self.field.sub)
 
     def scalar(self, c: int) -> "Mat":
         f = self.field
@@ -110,10 +105,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.field, list(zip(*self.data)))
-
-    def entrywise_frobenius(self, e: int) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.frobenius(a, e) for a in r] for r in self.data])
 
     def powq(self, q: int) -> "Mat":
         """Entrywise x -> x^q (the matrix A^(q))."""

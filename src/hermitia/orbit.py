@@ -19,10 +19,10 @@ from typing import Optional
 from . import gf
 from .gf import Field
 from .matff import Mat, MatError, SurfaceSpec, hermitian_decompose, is_hermitian, \
-    mat_from_ints, twisted_gram
+    twisted_gram
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, case_signature,
                     on_surface)
-from .classify import case_shape_check
+from .classify import case1_shape, case23_shape, case_shape_check
 
 INFINITE = "infinite"
 
@@ -110,9 +110,6 @@ class CountReport:
     q: int
     entries: list
 
-    def by_case(self, case: str) -> CountEntry:
-        return next(e for e in self.entries if e.case == case)
-
     def to_json(self) -> dict:
         return {"q": self.q, "cases": [e.to_json() for e in self.entries]}
 
@@ -147,33 +144,20 @@ def canonical_rep(case: str, q: int) -> Mat:
     representative exists."""
     if q < 3:
         raise OrbitError("no single representative exists for q = 2")
-    fld = gf.gfq2(q)
     if case == CASE_C1:
-        return mat_from_ints(fld, [[0, 1, 0, 0], [0, 0, 0, 1],
-                                   [-1, 0, 0, 0], [0, 0, -1, 0]])
-    case_signature(case, q)  # parity check
-    return mat_from_ints(fld, [[0, 1, 0, 0], [0, 0, 0, 1],
-                               [0, 0, -1, 0], [-1, 0, 0, 0]])
-
-
-def hermitian_case1_rep(q: int) -> Mat:
-    """The Hermitian member of the degree-(q+1) shape (a21 = 1, a13 = -1);
-    being Hermitian it splits over GF(q^2) directly."""
-    fld = gf.gfq2(q)
-    B = mat_from_ints(fld, [[0, 0, 0, -1], [0, 1, 0, 0],
-                            [0, 0, 1, 0], [-1, 0, 0, 0]])
-    assert is_hermitian(B, q) and case_shape_check(B, CASE_C1, q)
-    return B
+        return case1_shape(gf.gfq2(q), 1, 0, 0, 0, 0, 1)
+    return case_target(case, q)  # the c2/c3 target is the representative
 
 
 def case_target(case: str, q: int) -> Mat:
-    """Construction target for each case, valid for every admissible q."""
+    """Construction target for each case, valid for every admissible q.  For
+    the degree-(q+1) family it is the Hermitian member of the shape
+    (a21 = 1, a13 = -1), which splits over GF(q^2) directly."""
     if case == CASE_C1:
-        return hermitian_case1_rep(q)
+        fld = gf.gfq2(q)
+        return case1_shape(fld, 0, 0, fld.neg(1), 1, 0, 0)
     case_signature(case, q)  # parity check
-    fld = gf.gfq2(q)
-    return mat_from_ints(fld, [[0, 1, 0, 0], [0, 0, 0, 1],
-                               [0, 0, -1, 0], [-1, 0, 0, 0]])
+    return case23_shape(gf.gfq2(q), 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +222,6 @@ class BigForm:
         emb = gf.make_embedding(self.field, fld)
         return BigForm(self.case, self.q, self.n, fld,
                        {rc: emb(v) for rc, v in self.cells.items()})
-
-    def scaled(self, c: int) -> "BigForm":
-        f = self.field
-        return BigForm(self.case, self.q, self.n, f,
-                       {rc: f.mul(c, v) for rc, v in self.cells.items() if c})
 
 
 def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
@@ -364,13 +343,6 @@ def pairwise_equivalence(forms, search_field: Field, allow_scalar: bool = True):
     return verdicts
 
 
-def equivalent(M: BigForm, N: BigForm, search_field: Field,
-               allow_scalar: bool = True) -> Optional[Mat]:
-    """g in GL2(search_field) with act(M, g) proportional to N, or None when
-    the exhaustive scan of this field finds nothing (a field-bounded verdict)."""
-    return pairwise_equivalence([M, N], search_field, allow_scalar)[(0, 1)]
-
-
 # ---------------------------------------------------------------------------
 # q = 2 representative families
 # ---------------------------------------------------------------------------
@@ -395,28 +367,30 @@ def q2_lambda_member(lam: int, fld: Field = None) -> Mat:
 
 def inflate_case1(params: Mat, q: int = 2) -> Mat:
     """Blow a 2x3 parameter matrix up to the 4x4 degree-(q+1) shape."""
-    f = params.field
     (a11, a12, a13), (a21, a22, a23) = params.data
-    n = f.neg
-    B = Mat(f, [
-        [0, a11, a12, a13],
-        [0, a21, a22, a23],
-        [n(a11), n(a12), n(a13), 0],
-        [n(a21), n(a22), n(a23), 0],
-    ])
+    B = case1_shape(params.field, a11, a12, a13, a21, a22, a23)
     if not case_shape_check(B, CASE_C1, q):
         raise OrbitError("parameter matrix violates the shape side conditions")
     return B
 
 
-def q2_representatives():
-    """Fixed representatives plus the lambda-family constructor."""
-    return q2_parameter_matrices(), q2_lambda_member
-
-
 # ---------------------------------------------------------------------------
 # normalization to the representative (diagonal reparametrization)
 # ---------------------------------------------------------------------------
+
+def _extension_ladder(src: Field, q: int, max_ext: int, tried: list):
+    """Yield (GF(q^(2m)), embedding of src) for m = 1..max_ext, skipping the
+    fields above _UNTWIST_FIELD_LIMIT or not containing src, and append each
+    field order yielded to `tried`."""
+    p, n0 = gf.prime_power_split(q)
+    for m in range(1, max_ext + 1):
+        if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
+            continue  # guard before any field gets built
+        fld = gf.gf_ext(q, m)
+        emb = gf.make_embedding(src, fld)
+        tried.append(fld.order)
+        yield fld, emb
+
 
 def _solve_linear_congruence(a: int, b: int, n: int) -> Optional[int]:
     """Smallest x with a x == b (mod n), or None."""
@@ -495,18 +469,11 @@ def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
     d, j = sig.d, sig.j
     exps = ((d * q, d), ((d - j) * (q + 1), j * (q + 1)))
     rep = canonical_rep(case, q)
-    src = B4.field
     tried = []
-    p, n0 = gf.prime_power_split(q)
-    for m in range(1, max_ext + 1):
-        if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
-            continue  # guard before any field gets built
-        fld = gf.gf_ext(q, m)
-        emb = gf.make_embedding(src, fld)
+    for fld, emb in _extension_ladder(B4.field, q, max_ext, tried):
         b1 = emb(B4.data[0][1])
         b3 = emb(B4.data[1][3])
         sol = _solve_two_power_equations(fld, b1, b3, exps)
-        tried.append(fld.order)
         if sol is None:
             continue
         lam, mu = sol
@@ -624,33 +591,21 @@ def _untwist(M: Mat, q: int, max_ext: int):
     if cycles is None:
         raise OrbitError("target must be Hermitian or a monomial case shape")
     tried = []
-    src = M.field
-    for m in range(1, max_ext + 1):
-        p, n0 = gf.prime_power_split(q)
-        if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
-            continue  # guard before any table gets built
-        fld = gf.gf_ext(q, m)
-        emb = gf.make_embedding(src, fld)
-        tried.append(fld.order)
+    for fld, emb in _extension_ladder(M.field, q, max_ext, tried):
         blocks = {}
-        ok = True
         for idx, values in cycles:
             vals = [emb(v) for v in values]
             if len(idx) == 1:
                 c = _solve_fixed_cell(fld, vals[0], q)
-                if c is None:
-                    ok = False
-                    break
-                blocks[tuple(idx)] = Mat(fld, [[c]])
+                block = None if c is None else Mat(fld, [[c]])
             elif len(idx) == 3:
-                G3 = _solve_three_cycle(fld, vals, q)
-                if G3 is None:
-                    ok = False
-                    break
-                blocks[tuple(idx)] = G3
+                block = _solve_three_cycle(fld, vals, q)
             else:
                 raise OrbitError(f"unsupported cycle length {len(idx)}")
-        if not ok:
+            if block is None:
+                break
+            blocks[tuple(idx)] = block
+        if len(blocks) < len(cycles):
             continue
         n = M.rows
         G = Mat.zeros(fld, n, n)

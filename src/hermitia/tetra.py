@@ -22,7 +22,6 @@ from .matff import Mat, MatError, SurfaceSpec, twisted_gram
 CASE_C1 = "c1"  # d = q+1, all q
 CASE_C2 = "c2"  # d = q(q+1), q even
 CASE_C3 = "c3"  # d = q(q+1)/2, q odd
-ALL_CASES = (CASE_C1, CASE_C2, CASE_C3)
 
 
 class SignatureError(ValueError):
@@ -44,9 +43,6 @@ class Signature:
 
     def flip(self) -> "Signature":
         return Signature(self.d, self.d - self.j, self.d - self.i)
-
-    def scaled(self, n: int) -> "Signature":
-        return Signature(self.d * n, self.i * n, self.j * n)
 
     @property
     def exponents(self):
@@ -77,10 +73,6 @@ def case_signature(case: str, q: int) -> Signature:
             raise SignatureError("the degree-q(q+1)/2 family needs q odd")
         return Signature(q * (q + 1) // 2, (q + 1) // 2, (q * q + 1) // 2)
     raise SignatureError(f"unknown case {case!r}")
-
-
-def case_degree(case: str, q: int) -> int:
-    return case_signature(case, q).d
 
 
 def exponent_matrix(sig: Signature, q: int):
@@ -284,9 +276,6 @@ class SmoothnessReport:
     containment_ok: bool
     singular: list  # [(normalized point tuple, jacobian rank), ...] sorted
 
-    def singular_points(self):
-        return [pt for pt, _ in self.singular]
-
     def to_json(self) -> dict:
         f = self.field
         return {
@@ -299,8 +288,7 @@ class SmoothnessReport:
         }
 
 
-def smoothness_scan(case: str, q: int, param_field: Field,
-                    threads: int = 1) -> SmoothnessReport:
+def smoothness_scan(case: str, q: int, param_field: Field) -> SmoothnessReport:
     """Walk every parameter value of P^1 over param_field through the
     standard curve, confirm each image point satisfies the stored equations,
     and report every point where the Jacobian rank of the system drops
@@ -312,27 +300,16 @@ def smoothness_scan(case: str, q: int, param_field: Field,
     eqs = defining_equations(case, q)
     curve = CurveSpec(q, sig, Mat.identity(param_field, 4))
 
-    def check(st):
-        s, t = st
-        pt = normalize_point(param_field, curve.point(s, t))
-        ok = all(eval_equation(eq, pt, param_field) == 0 for eq in eqs)
-        rank = jacobian_rank(eqs, pt, param_field)
-        return pt, ok, rank
-
-    results = _run_parallel(check, list(projective_line(param_field)), threads)
-    containment_ok = all(ok for _, ok, _ in results)
+    points = 0
+    containment_ok = True
     seen = {}
-    for pt, _, rank in results:
+    for s, t in projective_line(param_field):
+        points += 1
+        pt = normalize_point(param_field, curve.point(s, t))
+        if not all(eval_equation(eq, pt, param_field) == 0 for eq in eqs):
+            containment_ok = False
+        rank = jacobian_rank(eqs, pt, param_field)
         if rank < 2:
             seen[pt] = min(rank, seen.get(pt, 2))
-    singular = sorted(seen.items())
-    return SmoothnessReport(case, q, param_field, len(results),
-                            containment_ok, singular)
-
-
-def _run_parallel(fn, items, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    return SmoothnessReport(case, q, param_field, points, containment_ok,
+                            sorted(seen.items()))

@@ -23,7 +23,7 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             projective_line, smoothness_scan)
 from hermitia.classify import enumerate_admissible
 from hermitia.orbit import (act, aut_order, build_curve, count_Td,
-                            embed_qprime, hermitian_case1_rep, inflate_case1,
+                            case_target, embed_qprime, inflate_case1,
                             pairwise_equivalence, proportional,
                             q2_lambda_member, stab_order, stabilizer_search,
                             sympow)
@@ -149,7 +149,7 @@ def test_criterion_05_construction_and_containment():
             assert on_surface(curve, surf)
     # the four-term cancellation of the Hermitian degree-(q+1) representative
     for q in (2, 3, 4, 5):
-        B = hermitian_case1_rep(q)
+        B = case_target(CASE_C1, q)
         assert is_identically_zero(case_signature(CASE_C1, q), q, B)
     assert time.time() - t0 < 60
     _report(5, "curve construction + containment", t0)

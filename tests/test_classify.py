@@ -143,8 +143,3 @@ def test_enumerate_validates_inputs():
     with pytest.raises(ClassifyError):
         enumerate_admissible(3, 2)
 
-
-def test_enumerate_thread_count_stable():
-    one = enumerate_admissible(2, 10, threads=1)
-    four = enumerate_admissible(2, 10, threads=4)
-    assert [e.sig for e in one.admissible] == [e.sig for e in four.admissible]

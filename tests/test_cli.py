@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermitia
 from hermitia import gf
 from hermitia.cli import main
 from hermitia.matff import Mat, random_hermitian_invertible
@@ -11,6 +16,24 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv):
+    """The exit status of main(argv), whether it returns it or raises
+    SystemExit with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_process(argv, **env):
+    """Run the CLI in a fresh interpreter, as the installed script would."""
+    src = str(Path(hermitia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def test_count_q3(capsys):
@@ -58,12 +81,6 @@ def test_classify_q2_flags_surplus_family(capsys):
     assert not doc["matches_prediction"]
 
 
-def test_classify_output_independent_of_threads(capsys):
-    _, out1 = run(["classify", "--q", "2", "--max-d", "8", "--threads", "1"], capsys)
-    _, out4 = run(["classify", "--q", "2", "--max-d", "8", "--threads", "4"], capsys)
-    assert out1 == out4
-
-
 def test_build_c1_fermat(capsys):
     code, out = run(["build", "--q", "3", "--case", "c1", "--fermat"], capsys)
     assert code == 0
@@ -105,9 +122,7 @@ def test_build_rejects_non_hermitian_surface(tmp_path, capsys):
 
 
 def test_build_parity_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["build", "--q", "3", "--case", "c2", "--fermat"], capsys)
-    assert err.value.code == 3
+    assert exit_code(["build", "--q", "3", "--case", "c2", "--fermat"]) == 3
 
 
 def test_stabilizer_c3_q3_reports_mismatch(capsys):
@@ -129,9 +144,33 @@ def test_stabilizer_c2_q4_matches(capsys):
 
 
 def test_stabilizer_parity_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["stabilizer", "--q", "3", "--case", "c2"], capsys)
-    assert err.value.code == 3
+    assert exit_code(["stabilizer", "--q", "3", "--case", "c2"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "6"],
+    ["stabilizer", "--q", "2", "--case", "c2"],
+    ["build", "--q", "3", "--case", "c2", "--fermat"],
+])
+def test_invalid_input_exits_3_with_one_line_reason(argv):
+    proc = run_process(argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].strip()
+    assert "Traceback" not in proc.stderr
+
+
+def test_threads_environment_variable_is_ignored():
+    proc = run_process(["count", "--q", "3"], HERMITIA_THREADS="abc")
+    assert proc.returncode == 0, proc.stderr
+    assert {e["case"]: e["count"] for e in json.loads(proc.stdout)["cases"]} == {
+        "c1": 18144, "c3": 1866240}
+
+
+def test_threads_flag_is_rejected(capsys):
+    assert exit_code(["count", "--q", "3", "--threads", "2"]) == 3
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_reps_q2_with_lambda_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,3 +179,50 @@ def test_prime_power_split():
     assert gf.prime_power_split(13) == (13, 1)
     assert not gf.is_prime_power(6)
     assert not gf.is_prime_power(1)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (7, 2)])
+def test_untabled_arithmetic_matches_tables(p, m, monkeypatch):
+    """Fields above TABLE_LIMIT use the raw arithmetic and the baby-step
+    giant-step dlog; they must agree with the table path on every element."""
+    tabled = make_field(p, m)
+    assert tabled.has_tables
+    monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+    raw = gf.Field(p, m, tabled.modulus)
+    assert not raw.has_tables
+    n = tabled.order - 1
+    for x in tabled.elements():
+        assert raw.neg(x) == tabled.neg(x)
+        for y in tabled.elements():
+            assert raw.mul(x, y) == tabled.mul(x, y)
+            assert raw.add(x, y) == tabled.add(x, y)
+            assert raw.sub(x, y) == tabled.sub(x, y)
+        for e in (0, 1, 2, p, n - 1, n, n + 3):
+            assert raw.pow(x, e) == tabled.pow(x, e)
+        if x:
+            assert raw.inv(x) == tabled.inv(x)
+            assert raw.pow(x, -3) == tabled.pow(x, -3)
+            assert raw.dlog(x) == tabled.dlog(x)
+            assert raw.exp_gen(raw.dlog(x)) == x
+            assert raw.power_roots(x, 3) == tabled.power_roots(x, 3)
+
+
+def _poly_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 4)])
+def test_irreducibility_matches_product_oracle(p, m):
+    """A monic polynomial is reducible exactly when it is a product of two
+    monic polynomials of lower degree."""
+    def monic(deg):
+        return [tuple(c) + (1,) for c in itertools.product(range(p), repeat=deg)]
+    reducible = {_poly_product(a, b, p)
+                 for k in range(1, m // 2 + 1)
+                 for a in monic(k) for b in monic(m - k)}
+    for f in monic(m):
+        assert gf.is_irreducible(f, p) == (f not in reducible)

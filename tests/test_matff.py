@@ -69,6 +69,18 @@ def test_shape_mismatch():
         Mat.identity(f, 3).mul(Mat.identity(f, 4))
 
 
+def test_add_sub_reject_field_and_shape_mismatch():
+    f4, f9 = gf.gfq2(2), gf.gfq2(3)
+    A = Mat(f4, [[1, 2], [3, 1]])
+    for op in (Mat.add, Mat.sub):
+        with pytest.raises(MatError):
+            op(A, Mat(f4, [[1, 1, 1]]))
+        with pytest.raises(MatError):
+            op(A, Mat(f9, [[1, 2], [3, 7]]))
+    assert A.add(A) == Mat.zeros(f4, 2, 2)
+    assert A.sub(Mat.identity(f4, 2)) == Mat(f4, [[0, 2], [3, 0]])
+
+
 def test_is_hermitian():
     f9 = gf.gfq2(3)
     assert is_hermitian(Mat.identity(f9, 4), 3)

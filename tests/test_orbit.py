@@ -3,15 +3,14 @@ import random
 import pytest
 
 from hermitia import gf
-from hermitia.matff import (Mat, MatError, fermat_surface, mat_from_ints,
-                            random_mat, twisted_gram)
+from hermitia.matff import (Mat, MatError, fermat_surface, is_hermitian,
+                            mat_from_ints, random_mat, twisted_gram)
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
                             is_identically_zero, on_surface)
 from hermitia.classify import case_shape_check
 from hermitia.orbit import (INFINITE, OrbitError, SearchExhausted, act,
-                            aut_order, build_curve, canonical_rep, count_Td,
-                            count_report, embed_qprime, equivalent,
-                            hermitian_case1_rep, inflate_case1,
+                            aut_order, build_curve, canonical_rep, case_target,
+                            count_Td, count_report, embed_qprime, inflate_case1,
                             normalize_to_rep, pairwise_equivalence,
                             project_star, proportional, q2_lambda_member,
                             q2_parameter_matrices, stab_order,
@@ -61,10 +60,20 @@ def test_canonical_rep_matrices():
     f16 = gf.gfq2(4)
     assert canonical_rep(CASE_C2, 4) == mat_from_ints(
         f16, [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0]])
+    assert canonical_rep(CASE_C3, 3) == mat_from_ints(
+        f9, [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0]])
     with pytest.raises(OrbitError):
         canonical_rep(CASE_C1, 2)
     assert case_shape_check(canonical_rep(CASE_C1, 3), CASE_C1, 3)
     assert case_shape_check(canonical_rep(CASE_C3, 3), CASE_C3, 3)
+    # the Hermitian degree-(q+1) construction target, at every q
+    for q in (2, 3, 4, 5):
+        target = case_target(CASE_C1, q)
+        assert target == mat_from_ints(
+            gf.gfq2(q), [[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]])
+        assert is_hermitian(target, q) and case_shape_check(target, CASE_C1, q)
+    assert case_target(CASE_C2, 2) == mat_from_ints(
+        gf.gfq2(2), [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0]])
 
 
 # -- symmetric powers -------------------------------------------------------------
@@ -214,7 +223,7 @@ def test_normalize_to_rep_reports_exhaustion():
 def test_twisted_solve_hermitian_target():
     q = 3
     surf = fermat_surface(q)
-    target = hermitian_case1_rep(q)
+    target = case_target(CASE_C1, q)
     F = twisted_congruence_solve(surf.gram, target, q)
     assert F.field.m == 2  # solved over GF(9)
     assert twisted_gram(F, surf.gram, q) == target
@@ -234,7 +243,7 @@ def test_twisted_solve_rejects_non_hermitian_surface():
     u = f9.element([0, 1])
     bad = Mat.diagonal(f9, [u, 1, 1, 1])
     with pytest.raises(MatError):
-        twisted_congruence_solve(bad, hermitian_case1_rep(3), 3)
+        twisted_congruence_solve(bad, case_target(CASE_C1, 3), 3)
 
 
 @pytest.mark.parametrize("case,q", [(CASE_C1, 2), (CASE_C1, 3), (CASE_C1, 4),
@@ -273,7 +282,7 @@ def test_equivalent_recovers_planted_witness():
         if g0.det():
             break
     N = act(M, g0)
-    g = equivalent(M, N, f4)
+    g = pairwise_equivalence([M, N], f4)[(0, 1)]
     assert g is not None
     assert proportional(act(M, g), N) is not None
 
@@ -320,9 +329,8 @@ def test_inflate_rejects_degenerate_parameters():
 
 
 def test_q2_representatives_bundle():
-    from hermitia.orbit import q2_representatives
-    fixed, family = q2_representatives()
-    assert len(fixed) == 3 and family(0).data == [[0, 1, 0], [1, 0, 1]]
+    fixed = q2_parameter_matrices()
+    assert len(fixed) == 3 and q2_lambda_member(0).data == [[0, 1, 0], [1, 0, 1]]
 
 
 def test_equivalence_scan_field_guard():

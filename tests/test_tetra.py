@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia import gf
 from hermitia.matff import Mat, MatError, fermat_surface, random_mat
-from hermitia.orbit import hermitian_case1_rep, twisted_congruence_solve
+from hermitia.orbit import case_target, twisted_congruence_solve
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             SignatureError, canonical_signature, case_signature,
                             defining_equations, eval_equation, evaluate_form,
@@ -96,7 +96,7 @@ def test_identity_form_is_not_zero():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_case1_hermitian_rep_vanishes(q):
-    B = hermitian_case1_rep(q)
+    B = case_target(CASE_C1, q)
     assert is_identically_zero(case_signature(CASE_C1, q), q, B)
 
 
@@ -127,7 +127,7 @@ def test_expansion_agrees_with_point_evaluation(q):
 def test_on_surface_symbolic():
     q = 3
     surf = fermat_surface(q)
-    F = twisted_congruence_solve(surf.gram, hermitian_case1_rep(q), q)
+    F = twisted_congruence_solve(surf.gram, case_target(CASE_C1, q), q)
     curve = CurveSpec(q, case_signature(CASE_C1, q), F)
     assert on_surface(curve, surf)
     ident = CurveSpec(q, Signature(4, 1, 3), Mat.identity(surf.gram.field, 4))
@@ -137,7 +137,7 @@ def test_on_surface_symbolic():
 def test_on_surface_scale_invariance():
     q = 3
     surf = fermat_surface(q)
-    F = twisted_congruence_solve(surf.gram, hermitian_case1_rep(q), q)
+    F = twisted_congruence_solve(surf.gram, case_target(CASE_C1, q), q)
     fld = F.field
     for c in (2, 5):
         scaled = CurveSpec(q, case_signature(CASE_C1, q), F.scalar(c % fld.order or 2))
@@ -151,7 +151,7 @@ def test_on_surface_scale_invariance():
 def test_curve_json_roundtrip():
     q = 2
     surf = fermat_surface(q)
-    F = twisted_congruence_solve(surf.gram, hermitian_case1_rep(q), q)
+    F = twisted_congruence_solve(surf.gram, case_target(CASE_C1, q), q)
     curve = CurveSpec(q, case_signature(CASE_C1, q), F)
     doc = curve.to_json()
     back = CurveSpec.from_json(doc)
@@ -225,13 +225,6 @@ def test_smoothness_scan_c2_q2_singular_at_one_zero():
     assert rep.containment_ok
     assert [pt for pt, _ in rep.singular] == [(1, 0, 0, 0)]
     assert rep.singular[0][1] == 1
-
-
-def test_smoothness_scan_thread_count_stable():
-    one = smoothness_scan(CASE_C3, 3, gf.gf_ext(3, 2), threads=1)
-    four = smoothness_scan(CASE_C3, 3, gf.gf_ext(3, 2), threads=4)
-    assert one.singular == four.singular
-    assert one.to_json() == four.to_json()
 
 
 def test_smoothness_scan_field_validation():
