@@ -14,7 +14,6 @@ of 5 values per variable decides identical vanishing).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -107,7 +106,6 @@ def solution_space(sig: Signature, q: int) -> SolutionSpace:
 @dataclass
 class InvertibleVerdict:
     invertible: bool
-    exact: bool                 # randomized negatives are never exact
     method: str
     witness: Optional[Mat] = None
     checked: int = 0
@@ -117,40 +115,22 @@ def _active_cells(space: SolutionSpace):
     return {cell for group in space.groups for cell in group}
 
 
-def exists_invertible(space: SolutionSpace, strategy: str = "exhaustive",
-                      trials: int = 40, ext_m: int = 4,
-                      seed: int = 0) -> InvertibleVerdict:
+def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     """Decide whether the span contains an invertible matrix over the
-    algebraic closure.
-
-    The exhaustive strategy is exact in both directions: witness search over
+    algebraic closure, exactly in both directions: witness search over
     GF(q^2) coefficients first, then the 5-per-variable grid over GF(q^4)
-    which either produces a witness or certifies det == 0 identically.  The
-    random strategy only ever certifies the positive direction.
+    which either produces a witness or certifies det == 0 identically.
     """
     dim = space.dim
     if dim == 0:
-        return InvertibleVerdict(False, True, "empty-space")
+        return InvertibleVerdict(False, "empty-space")
     active = _active_cells(space)
     for l in range(4):
         if not any((l, m) in active for m in range(4)):
-            return InvertibleVerdict(False, True, "zero-row")
+            return InvertibleVerdict(False, "zero-row")
     for m in range(4):
         if not any((l, m) in active for l in range(4)):
-            return InvertibleVerdict(False, True, "zero-column")
-
-    if strategy == "random":
-        fld = gf.gf_ext(space.q, ext_m)
-        rng = random.Random(seed)
-        for k in range(trials):
-            coeffs = [rng.randrange(fld.order) for _ in range(dim)]
-            B = space.combination(coeffs, fld)
-            if B.det() != 0:
-                return InvertibleVerdict(True, True, "random-witness", B, k + 1)
-        return InvertibleVerdict(False, False, "random-no-witness", None, trials)
-
-    if strategy != "exhaustive":
-        raise ClassifyError(f"unknown strategy {strategy!r}")
+            return InvertibleVerdict(False, "zero-column")
 
     checked = 0
     q2 = space.field.order
@@ -159,7 +139,7 @@ def exists_invertible(space: SolutionSpace, strategy: str = "exhaustive",
             checked += 1
             B = space.combination(coeffs)
             if B.det() != 0:
-                return InvertibleVerdict(True, True, "witness-gfq2", B, checked)
+                return InvertibleVerdict(True, "witness-gfq2", B, checked)
 
     if dim > _GRID_DIM_LIMIT:
         raise ClassifyError(f"solution space dim {dim} beyond grid guard")
@@ -169,8 +149,8 @@ def exists_invertible(space: SolutionSpace, strategy: str = "exhaustive",
         checked += 1
         B = space.combination(coeffs, fld4)
         if B.det() != 0:
-            return InvertibleVerdict(True, True, "witness-gfq4", B, checked)
-    return InvertibleVerdict(False, True, "grid-certificate", None, checked)
+            return InvertibleVerdict(True, "witness-gfq4", B, checked)
+    return InvertibleVerdict(False, "grid-certificate", None, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import gf
 from .matff import Mat, MatError, SurfaceSpec, fermat_surface
 from .tetra import (CASE_C1, SignatureError, case_signature, on_surface,
                     smoothness_scan)
-from .classify import enumerate_admissible, predicted_signatures
+from .classify import ClassifyError, enumerate_admissible, predicted_signatures
 from .orbit import (OrbitError, SearchExhausted, build_curve, count_report,
                     embed_qprime, inflate_case1, pairwise_equivalence,
                     q2_lambda_member, q2_parameter_matrices,
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 2
 EXIT_INVALID = 3
 EXIT_EXHAUSTED = 4
+
+
+class InputError(ValueError):
+    """An input file that cannot be read or does not hold what it should."""
 
 
 @dataclass
@@ -152,11 +156,23 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str, parse, what: str):
+    """parse(the JSON document at path); any failure becomes an InputError
+    with a one-line reason."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise InputError(f"{path} is not a valid {what}: "
+                         f"{type(exc).__name__}: {exc}") from None
+
+
 def _load_surface(cfg: RunConfig) -> SurfaceSpec:
     if cfg.fermat:
         return fermat_surface(cfg.q)
-    with open(cfg.surface_path) as fh:
-        gram = Mat.from_json(json.load(fh))
+    gram = _read_json(cfg.surface_path, Mat.from_json, "surface file")
     surf = SurfaceSpec(cfg.q, gram)
     if not surf.hermitian:
         print("surface matrix is not Hermitian for this q", file=sys.stderr)
@@ -208,8 +224,9 @@ def cmd_reps_q2(cfg: RunConfig) -> int:
     if cfg.scan:
         lams = list(fld4.elements())
     else:
-        with open(cfg.lambdas_path) as fh:
-            lams = [fld4.element(c) for c in json.load(fh)]
+        lams = _read_json(cfg.lambdas_path,
+                          lambda doc: [fld4.element(c) for c in doc],
+                          "lambdas file")
     for lam in lams:
         members.append((f"lambda-{fld4.coeffs(lam)}", q2_lambda_member(lam)))
     forms = [embed_qprime(inflate_case1(p), CASE_C1, 2) for _, p in members]
@@ -249,7 +266,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.subcommand](cfg)
-    except (MatError, OrbitError, SignatureError, gf.FieldError) as exc:
+    except (MatError, OrbitError, SignatureError, ClassifyError, gf.FieldError,
+            InputError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 

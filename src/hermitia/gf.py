@@ -163,6 +163,7 @@ def is_irreducible(modulus, p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def default_modulus(p: int, m: int):
     """First monic irreducible of degree m over GF(p), non-leading coefficients
     ordered lexicographically (constant term compared first)."""
@@ -213,11 +214,12 @@ class Field:
         return out
 
     def element(self, coeffs) -> int:
+        coeffs = list(coeffs)
+        if len(coeffs) > self.m:
+            raise FieldError(f"{len(coeffs)} coefficients for an element of {self}")
         v = 0
-        for c in reversed(list(coeffs)):
+        for c in reversed(coeffs):
             v = v * self.p + (c % self.p)
-        if v >= self.order:
-            raise FieldError("coefficient vector too long")
         return v
 
     def elements(self):

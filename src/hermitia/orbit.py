@@ -11,6 +11,7 @@ works in the big space, exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .classify import case1_shape, case23_shape, case_shape_check
 INFINITE = "infinite"
 
 _UNTWIST_FIELD_LIMIT = 1 << 18  # largest field scanned by the congruence search
-_GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for exhaustive GL2 scans
+_GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for exhaustive (P)GL2 scans
 
 
 class SearchExhausted(RuntimeError):
@@ -287,9 +288,8 @@ def act(M: BigForm, g: Mat) -> BigForm:
     return BigForm(M.case, M.q, M.n, f, cells)
 
 
-def proportional(M: BigForm, N: BigForm, allow_scalar: bool = True) -> Optional[int]:
-    """The scalar c with M = c N, if one exists (c = 1 when scalars are not
-    allowed)."""
+def proportional(M: BigForm, N: BigForm) -> Optional[int]:
+    """The scalar c with M = c N, if one exists."""
     f = M.field
     if set(M.cells) != set(N.cells):
         return None
@@ -300,8 +300,6 @@ def proportional(M: BigForm, N: BigForm, allow_scalar: bool = True) -> Optional[
             c = ratio
         elif c != ratio:
             return None
-    if not allow_scalar and c != 1:
-        return None
     return c
 
 
@@ -309,26 +307,32 @@ def proportional(M: BigForm, N: BigForm, allow_scalar: bool = True) -> Optional[
 # equivalence scans
 # ---------------------------------------------------------------------------
 
-def _gl2_elements(fld: Field):
-    for a in fld.elements():
-        for b in fld.elements():
-            for c in fld.elements():
-                for e in fld.elements():
-                    if fld.sub(fld.mul(a, e), fld.mul(b, c)):
-                        yield Mat(fld, [[a, b], [c, e]])
+def _pgl2_elements(fld: Field):
+    """One matrix per scalar class of GL2(fld): [[1, b], [c, e]] with e != bc,
+    then [[0, 1], [c, e]] with c != 0, |F|(|F|^2 - 1) in all.  A scalar
+    lambda I multiplies every big form by lambda^(d(q+1)), so a scan up to
+    proportionality needs no other element.  Refuses before anything is
+    generated when |F|^4 exceeds the GL2 scan guard."""
+    if fld.order ** 4 > _GL2_SCAN_LIMIT:
+        raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
+                         f"> {_GL2_SCAN_LIMIT}")
+    F, mul = fld.elements(), fld.mul
+    return itertools.chain(
+        (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
+         if e != mul(b, c)),
+        (Mat(fld, [[0, 1], [c, e]]) for c in F if c for e in F))
 
 
-def pairwise_equivalence(forms, search_field: Field, allow_scalar: bool = True):
-    """Scan GL2 over the search field once, testing every ordered pair of
+def pairwise_equivalence(forms, search_field: Field):
+    """Scan PGL2 over the search field once, testing every ordered pair of
     forms; returns {(i, j): witness g or None}.  A None verdict is exhaustive
     for this field, nothing more."""
-    if search_field.order ** 4 > _GL2_SCAN_LIMIT:
-        raise OrbitError("GL2 scan field too large")
+    elements = _pgl2_elements(search_field)
     lifted = [m.lift_to(search_field) for m in forms]
     n = len(lifted)
     verdicts = {(i, j): None for i in range(n) for j in range(n) if i != j}
     unresolved = set(verdicts)
-    for g in _gl2_elements(search_field):
+    for g in elements:
         if not unresolved:
             break
         by_source = {}
@@ -337,7 +341,7 @@ def pairwise_equivalence(forms, search_field: Field, allow_scalar: bool = True):
         for i, targets in by_source.items():
             Mi = act(lifted[i], g)
             for j in targets:
-                if proportional(Mi, lifted[j], allow_scalar) is not None:
+                if proportional(Mi, lifted[j]) is not None:
                     verdicts[(i, j)] = g
                     unresolved.discard((i, j))
     return verdicts
@@ -481,7 +485,7 @@ def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
         big = embed_qprime(B4, case, q).lift_to(fld)
         target = embed_qprime(rep, case, q).lift_to(fld)
         moved = act(big, g)
-        if proportional(moved, target, allow_scalar=False) == 1:
+        if proportional(moved, target) == 1:
             return g
     raise SearchExhausted(
         f"no diagonal normalization within GF(q^(2m)), m <= {max_ext}; "
@@ -742,10 +746,13 @@ def stabilizer_search(case: str, q: int, mode: str = "diagonal_exhaustive",
     never changes the condition, so diag(a, d) is scanned as diag(a/d, 1))
     over GF(q^6), which contains every diagonal solution ratio.  Sampled
     non-diagonal g double-check that no further solutions hide off the
-    diagonal.
+    diagonal.  Full mode scans all of GL2 modulo scalars over the search
+    field.
     """
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
+    if samples < 0:
+        raise OrbitError(f"samples must be >= 0, got {samples}")
     rep = canonical_rep(case, q)
     fld = search_field or gf.gf_ext(q, 3)
     big = embed_qprime(rep, case, q).lift_to(fld)
@@ -758,9 +765,7 @@ def stabilizer_search(case: str, q: int, mode: str = "diagonal_exhaustive",
                 star = _normalize_projective(_star_of_phi(g, case, q))
                 elements[star.key()] = star
     elif mode == "full_small":
-        if fld.order ** 4 > _GL2_SCAN_LIMIT:
-            raise OrbitError("full GL2 scan field too large")
-        for g in _gl2_elements(fld):
+        for g in _pgl2_elements(fld):
             if proportional(act(big, g), big) is not None:
                 star = _normalize_projective(_star_of_phi(g, case, q))
                 elements[star.key()] = star

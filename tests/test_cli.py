@@ -27,12 +27,12 @@ def exit_code(argv):
         return exc.code
 
 
-def run_process(argv, **env):
+def run_process(argv, cwd=None, **env):
     """Run the CLI in a fresh interpreter, as the installed script would."""
     src = str(Path(hermitia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path, **env})
 
 
@@ -147,13 +147,32 @@ def test_stabilizer_parity_error(capsys):
     assert exit_code(["stabilizer", "--q", "3", "--case", "c2"]) == 3
 
 
+# input files the invalid-input cases below read, written to the working
+# directory of each run
+BAD_INPUT_FILES = {
+    "not_json.json": "[[0, 0",
+    "wrong_keys.json": json.dumps({"rows": 4, "cols": 4, "entries": []}),
+    "long_lambda.json": json.dumps([[0, 0, 0, 0]]),   # GF(4) has m = 2
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--q", "6"],
     ["stabilizer", "--q", "2", "--case", "c2"],
     ["build", "--q", "3", "--case", "c2", "--fermat"],
+    ["classify", "--q", "2", "--max-d", "2"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "missing.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "not_json.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "wrong_keys.json"],
+    ["reps-q2", "--lambdas-file", "not_json.json"],
+    ["reps-q2", "--lambdas-file", "long_lambda.json"],
+    ["stabilizer", "--q", "3", "--case", "c3", "--samples", "-5"],
+    ["stabilizer", "--q", "3", "--case", "c3", "--mode", "full_small"],
 ])
-def test_invalid_input_exits_3_with_one_line_reason(argv):
-    proc = run_process(argv)
+def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    proc = run_process(argv, cwd=tmp_path)
     assert proc.returncode == 3
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,14 +9,14 @@ from hermitia.matff import (Mat, MatError, fermat_surface, is_hermitian,
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
                             is_identically_zero, on_surface)
 from hermitia.classify import case_shape_check
-from hermitia.orbit import (INFINITE, OrbitError, SearchExhausted, act,
-                            aut_order, build_curve, canonical_rep, case_target,
-                            count_Td, count_report, embed_qprime, inflate_case1,
-                            normalize_to_rep, pairwise_equivalence,
-                            project_star, proportional, q2_lambda_member,
-                            q2_parameter_matrices, stab_order,
-                            stabilizer_search, star_positions, sympow,
-                            twisted_congruence_solve)
+from hermitia.orbit import (INFINITE, OrbitError, SearchExhausted,
+                            _pgl2_elements, act, aut_order, build_curve,
+                            canonical_rep, case_target, count_Td, count_report,
+                            embed_qprime, inflate_case1, normalize_to_rep,
+                            pairwise_equivalence, project_star, proportional,
+                            q2_lambda_member, q2_parameter_matrices,
+                            stab_order, stabilizer_search, star_positions,
+                            sympow, twisted_congruence_solve)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -188,7 +189,7 @@ def test_normalize_to_rep_c3_q3():
     assert g.data[0][1] == 0 and g.data[1][0] == 0
     big = embed_qprime(B, CASE_C3, 3).lift_to(g.field)
     target = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3).lift_to(g.field)
-    assert proportional(act(big, g), target, allow_scalar=False) == 1
+    assert proportional(act(big, g), target) == 1
 
 
 def test_normalize_to_rep_identity_input():
@@ -205,7 +206,7 @@ def test_normalize_to_rep_c2_q4_solvable_instance():
     g = normalize_to_rep(B, CASE_C2, 4)
     big = embed_qprime(B, CASE_C2, 4).lift_to(g.field)
     target = embed_qprime(canonical_rep(CASE_C2, 4), CASE_C2, 4).lift_to(g.field)
-    assert proportional(act(big, g), target, allow_scalar=False) == 1
+    assert proportional(act(big, g), target) == 1
 
 
 def test_normalize_to_rep_reports_exhaustion():
@@ -331,6 +332,78 @@ def test_inflate_rejects_degenerate_parameters():
 def test_q2_representatives_bundle():
     fixed = q2_parameter_matrices()
     assert len(fixed) == 3 and q2_lambda_member(0).data == [[0, 1, 0], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+def test_pgl2_elements_one_per_scalar_class(p, m):
+    fld = gf.make_field(p, m)
+    n = fld.order
+
+    def normal(a, b, c, e):  # scaled so the top row's first nonzero entry is 1
+        s = fld.inv(a or b)
+        return tuple(fld.mul(s, x) for x in (a, b, c, e))
+
+    flat = [tuple(x for row in g.data for x in row) for g in _pgl2_elements(fld)]
+    assert len(flat) == n * (n * n - 1)
+    assert all(fld.mul(a, e) != fld.mul(b, c) for a, b, c, e in flat)
+    # each element is its own normal form and no two coincide, so no two are
+    # proportional
+    assert [normal(*g) for g in flat] == flat
+    assert len(set(flat)) == len(flat)
+    gl2 = {normal(a, b, c, e)
+           for a, b, c, e in itertools.product(range(n), repeat=4)
+           if fld.mul(a, e) != fld.mul(b, c)}
+    assert gl2 == set(flat)
+
+
+def _gl2_equivalent_pairs(forms, fld):
+    """Ordered pairs (i, j) with act(forms[i], g) proportional to forms[j]
+    for some g, by walking every invertible matrix of all |F|^4."""
+    n = len(forms)
+    pending = {(i, j) for i in range(n) for j in range(n) if i != j}
+    for a, b, c, e in itertools.product(fld.elements(), repeat=4):
+        if not pending:
+            break
+        if fld.mul(a, e) == fld.mul(b, c):
+            continue
+        g = Mat(fld, [[a, b], [c, e]])
+        for i in {i for i, _ in pending}:
+            moved = act(forms[i], g)
+            pending -= {(i, j) for j in range(n) if (i, j) in pending
+                        and proportional(moved, forms[j]) is not None}
+    return {(i, j) for i in range(n) for j in range(n) if i != j} - pending
+
+
+def _assert_scan_matches_gl2(forms, fld):
+    verdicts = pairwise_equivalence(forms, fld)
+    assert {k for k, g in verdicts.items() if g is not None} == \
+        _gl2_equivalent_pairs(forms, fld)
+    for (i, j), g in verdicts.items():
+        if g is not None:
+            assert proportional(act(forms[i], g), forms[j]) is not None
+
+
+def _invertible(fld, rng):
+    while True:
+        g = random_mat(fld, 2, 2, rng)
+        if g.det():
+            return g
+
+
+def test_pairwise_equivalence_matches_gl2_scan_q2_forms():
+    """The seven reps-q2 forms over GF(4), plus a planted image of one."""
+    f4 = gf.gfq2(2)
+    params = q2_parameter_matrices() + [q2_lambda_member(lam) for lam in range(4)]
+    forms = [embed_qprime(inflate_case1(p), CASE_C1, 2) for p in params]
+    forms.append(act(forms[4], _invertible(f4, random.Random(2))))
+    _assert_scan_matches_gl2(forms, f4)
+
+
+def test_pairwise_equivalence_matches_gl2_scan_c3_q3():
+    f9 = gf.gfq2(3)
+    rep = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
+    forms = [rep, act(rep, _invertible(f9, random.Random(4)))]
+    _assert_scan_matches_gl2(forms, f9)
 
 
 def test_equivalence_scan_field_guard():
