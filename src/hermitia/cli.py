@@ -34,7 +34,8 @@ EXIT_EXHAUSTED = 4
 
 
 class InputError(ValueError):
-    """An input file that cannot be read or does not hold what it should."""
+    """A file named on the command line that cannot be read or written, or
+    does not hold what it should."""
 
 
 @dataclass
@@ -116,8 +117,11 @@ def _emit(doc: dict, cfg) -> None:
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {cfg.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

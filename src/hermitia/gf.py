@@ -7,16 +7,20 @@ field element hashable and orderable for free.  The packed order 0, 1, 2, ...
 is the fixed enumeration order used everywhere a "first" or "smallest" element
 is promised.
 
-A Field lazily builds exp/log tables (and Zech logarithms for odd p), so
-multiplication, inversion, powering and discrete logs are table lookups for
-every field small enough to matter at desk scale.  Fields are interned by
-(p, m, modulus): two calls to make_field with the same data return the same
-object, and elements of distinct Field objects must never be mixed.
+A Field with at most TABLE_LIMIT elements builds exp/log tables (and Zech
+logarithms for odd p) when it is made, so addition, multiplication,
+inversion, powering and discrete logs are table lookups for every field
+small enough to matter at desk scale; larger fields compute on polynomial
+coefficients and take discrete logs by baby-step giant-step.  Fields are
+interned by (p, m, modulus): two calls to make_field with the same data
+return the same object, and elements of distinct Field objects must never
+be mixed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,6 +190,11 @@ class Field:
 
     Elements are packed ints in [0, p^m).  Do not construct directly, use
     make_field so instances are interned.
+
+    The methods below compute on polynomial coefficients and need no tables.
+    A field with at most TABLE_LIMIT elements builds its tables once, at
+    construction, and shadows the arithmetic with table lookups bound as
+    instance attributes.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -193,15 +202,95 @@ class Field:
         self.m = m
         self.modulus = tuple(modulus)
         self.order = p ** m
-        self.zero = 0
-        self.one = 1
-        self._exp = None   # exp[i] = g^i, length order-1
-        self._log = None   # log[x] for x != 0
-        self._zech = None  # odd p only: zech[n] = log(1 + g^n), -1 marks zero
-        self._gen = None
-        self._mod_mask = None
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos  # -x = x; pos returns the int unchanged
+        # x generates the multiplicative group iff x^(n/f) != 1 for every
+        # prime f dividing n; the first such x in packed order is canonical
+        n = self.order - 1
+        cofactors = [n // f for f in _factorize(n)]
+        self._gen = next(x for x in range(1, self.order)
+                         if all(self.pow(x, c) != 1 for c in cofactors))
+        self.has_tables = self.order <= TABLE_LIMIT
+        if self.has_tables:
+            self._bind_tables()
+
+    def _bind_tables(self):
+        """Build exp/log tables (and Zech logarithms for odd p) and bind
+        table-lookup arithmetic over the coefficient methods."""
+        n = self.order - 1
+        exp = [0] * n   # exp[i] = g^i
+        log = [0] * self.order
+        v = 1
+        for i in range(n):
+            exp[i] = v
+            log[v] = i
+            v = self.mul(v, self._gen)
+
+        def mul(x, y):
+            return exp[(log[x] + log[y]) % n] if x and y else 0
+
+        def div(x, y):
+            if not y:
+                raise ZeroDivisionError("division by zero")
+            return exp[(log[x] - log[y]) % n] if x else 0
+
+        def inv(x):
+            if not x:
+                raise ZeroDivisionError("zero has no inverse")
+            return exp[-log[x] % n]
+
+        def pow(x, e):
+            if x:
+                return exp[log[x] * e % n]
+            if e < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return 0 if e else 1
+
+        def dlog(x):
+            if not x:
+                raise ZeroDivisionError("log of zero")
+            return log[x]
+
+        def exp_gen(e):
+            return exp[e % n]
+
+        self.mul, self.div, self.inv, self.pow = mul, div, inv, pow
+        self.dlog, self.exp_gen = dlog, exp_gen
+        if self.p == 2:
+            return
+        p = self.p
+        half = n // 2  # g^half = -1
+        zech = [0] * n  # zech[k] = log(1 + g^k); -1 where 1 + g^k = 0
+        for k, v in enumerate(exp):
+            c = v % p
+            t = v - c + (c + 1) % p
+            zech[k] = log[t] if t else -1
+
+        def add(x, y):
+            if not x:
+                return y
+            if not y:
+                return x
+            a = log[x]
+            z = zech[(log[y] - a) % n]
+            return exp[(a + z) % n] if z >= 0 else 0
+
+        def sub(x, y):
+            if not y:
+                return x
+            b = log[y] + half
+            if not x:
+                return exp[b % n]
+            a = log[x]
+            z = zech[(b - a) % n]
+            return exp[(a + z) % n] if z >= 0 else 0
+
+        def neg(x):
+            return exp[(log[x] + half) % n] if x else 0
+
+        self.add, self.sub, self.neg = add, sub, neg
 
     # -- representation helpers ------------------------------------------------
 
@@ -228,32 +317,33 @@ class Field:
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
-    # -- raw arithmetic (no tables) ---------------------------------------------
+    # -- arithmetic without tables ----------------------------------------------
 
-    def _add_raw(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
+    def add(self, x: int, y: int) -> int:
+        p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            x, a = divmod(x, self.p)
-            y, b = divmod(y, self.p)
-            out += ((a + b) % self.p) * mult
-            mult *= self.p
+            x, a = divmod(x, p)
+            y, b = divmod(y, p)
+            out += (a + b) % p * mult
+            mult *= p
         return out
 
-    def _neg_raw(self, x: int) -> int:
-        if self.p == 2:
-            return x
+    def neg(self, x: int) -> int:
+        p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            x, a = divmod(x, self.p)
-            out += ((-a) % self.p) * mult
-            mult *= self.p
+            x, a = divmod(x, p)
+            out += -a % p * mult
+            mult *= p
         return out
 
-    def _mul_raw(self, x: int, y: int) -> int:
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def mul(self, x: int, y: int) -> int:
         p = self.p
         if p == 2:
             mask = self._mod_mask
@@ -273,163 +363,60 @@ class Field:
             v = v * p + c
         return v
 
-    def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return r
-
-    # -- tables -----------------------------------------------------------------
-
-    def _order_of(self, x: int, factors) -> int:
-        n = self.order - 1
-        o = n
-        for f in factors:
-            while o % f == 0 and self._pow_raw(x, o // f) == 1:
-                o //= f
-        return o
-
-    def generator(self) -> int:
-        """Smallest (in packed order) generator of the multiplicative group."""
-        if self._gen is not None:
-            return self._gen
-        n = self.order - 1
-        factors = _factorize(n)
-        for x in range(1, self.order):
-            if self._order_of(x, factors) == n:
-                self._gen = x
-                return x
-        raise FieldError("no generator found")  # unreachable
-
-    def _ensure_tables(self):
-        if self._exp is not None or self.order > TABLE_LIMIT:
-            return
-        g = self.generator()
-        n = self.order - 1
-        exp = [0] * n
-        log = [0] * self.order
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
-        self._exp = exp
-        self._log = log
-        if self.p != 2:
-            # zech[k] = log(1 + g^k); -1 where 1 + g^k = 0
-            zech = [0] * n
-            for k in range(n):
-                t = self._add_raw(1, exp[k])
-                zech[k] = log[t] if t else -1
-            self._zech = zech
-
-    @property
-    def has_tables(self) -> bool:
-        self._ensure_tables()
-        return self._exp is not None
-
-    # -- public arithmetic --------------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        if x == 0:
-            return y
-        if y == 0:
-            return x
-        if self.has_tables:
-            n = self.order - 1
-            a = self._log[x]
-            d = (self._log[y] - a) % n
-            z = self._zech[d]
-            if z < 0:
-                return 0
-            return self._exp[(a + z) % n]
-        return self._add_raw(x, y)
-
-    def neg(self, x: int) -> int:
-        if self.p == 2 or x == 0:
-            return x
-        if self.has_tables:
-            n = self.order - 1
-            return self._exp[(self._log[x] + n // 2) % n]
-        return self._neg_raw(x)
-
-    def sub(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        if self.has_tables:
-            n = self.order - 1
-            return self._exp[(self._log[x] + self._log[y]) % n]
-        return self._mul_raw(x, y)
+    def div(self, x: int, y: int) -> int:
+        return self.mul(x, self.inv(y))
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self.has_tables:
-            n = self.order - 1
-            return self._exp[(-self._log[x]) % n]
-        return self._pow_raw(x, self.order - 2)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
+        return self.pow(x, -1)
 
     def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
         if x == 0:
-            return 1 if e == 0 else 0
-        if self.has_tables:
-            n = self.order - 1
-            return self._exp[(self._log[x] * e) % n]
-        return self._pow_raw(x, e % (self.order - 1) if e else 0)
-
-    def frobenius(self, x: int, e: int) -> int:
-        """x^(p^e).  An automorphism fixing GF(p); e=0 is the identity."""
-        if e < 0:
-            raise FieldError("frobenius exponent must be >= 0")
-        return self.pow(x, self.p ** e)
-
-    def in_subfield(self, x: int, suborder: int) -> bool:
-        """Whether x lies in the subfield with `suborder` elements."""
-        return self.pow(x, suborder) == x
+            if e < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return 0 if e else 1
+        e %= self.order - 1  # x^(order-1) = 1, so this also handles e < 0
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return r
 
     def dlog(self, x: int) -> int:
-        """Discrete log base the canonical generator."""
+        """Discrete log base the canonical generator (baby-step giant-step)."""
         if x == 0:
             raise ZeroDivisionError("log of zero")
-        if self.has_tables:
-            return self._log[x]
-        # baby-step giant-step fallback for oversized fields
         n = self.order - 1
-        g = self.generator()
         s = math.isqrt(n) + 1
         baby = {}
         v = 1
         for j in range(s):
             baby.setdefault(v, j)
-            v = self._mul_raw(v, g)
+            v = self.mul(v, self._gen)
         step = self.inv(v)  # g^(-s)
         cur = x
         for i in range(s + 1):
             if cur in baby:
                 return (i * s + baby[cur]) % n
-            cur = self._mul_raw(cur, step)
+            cur = self.mul(cur, step)
         raise FieldError("dlog failed")  # unreachable
 
     def exp_gen(self, e: int) -> int:
         """Generator raised to e."""
-        if self.has_tables:
-            return self._exp[e % (self.order - 1)]
-        return self._pow_raw(self.generator(), e % (self.order - 1))
+        return self.pow(self._gen, e)
+
+    # -- derived ------------------------------------------------------------------
+
+    def generator(self) -> int:
+        """Smallest (in packed order) generator of the multiplicative group."""
+        return self._gen
+
+    def in_subfield(self, x: int, suborder: int) -> bool:
+        """Whether x lies in the subfield with `suborder` elements."""
+        return self.pow(x, suborder) == x
 
     def power_roots(self, w: int, k: int):
         """All x with x^k = w, sorted in packed order."""

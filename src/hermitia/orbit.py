@@ -649,6 +649,8 @@ def build_curve(case: str, q: int, surf: SurfaceSpec,
     """A verified member of the case's curve family on the given surface: the
     four frame columns returned are the ones sitting at the case's big-form
     indices."""
+    if max_ext < 1:
+        raise OrbitError(f"max_ext={max_ext} must be >= 1")
     if surf.q != q:
         raise OrbitError("surface and requested q disagree")
     if not surf.hermitian:

@@ -168,6 +168,11 @@ BAD_INPUT_FILES = {
     ["reps-q2", "--lambdas-file", "long_lambda.json"],
     ["stabilizer", "--q", "3", "--case", "c3", "--samples", "-5"],
     ["stabilizer", "--q", "3", "--case", "c3", "--mode", "full_small"],
+    ["count", "--q", "3", "--out", "missing_dir/x.json"],
+    ["stabilizer", "--q", "3", "--case", "c3", "--samples", "0", "--out", "."],
+    ["build", "--q", "3", "--case", "c1", "--fermat", "--max-ext", "-5"],
+    ["build", "--q", "3", "--case", "c3", "--fermat", "--max-ext", "0"],
+    ["build", "--q", "4", "--case", "c2", "--fermat", "--max-ext", "0"],
 ])
 def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     for name, text in BAD_INPUT_FILES.items():
@@ -178,6 +183,24 @@ def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].strip()
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_imports_only_the_standard_library():
+    """hermitia needs nothing outside the standard library.  -S leaves
+    site-packages off the path, so importing an installed third-party package
+    fails, and no .pth hook loads modules of its own."""
+    src = str(Path(hermitia.__file__).resolve().parent.parent)
+    code = ("import sys, hermitia.cli\n"
+            "print('\\n'.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hermitia.cli" in loaded
+    foreign = [name for name in loaded
+               if name != "__main__" and name.split(".")[0] != "hermitia"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_threads_environment_variable_is_ignored():

@@ -46,8 +46,8 @@ def test_gf9_arithmetic():
     f = make_field(3, 2)
     u = f.element([0, 1])
     assert f.mul(u, u) == 2                      # u^2 = -1
-    assert f.frobenius(u, 1) == f.neg(u)         # u^3 = -u
-    assert f.frobenius(f.frobenius(u, 1), 1) == u
+    assert f.pow(u, f.p) == f.neg(u)             # u^3 = -u
+    assert f.pow(f.pow(u, f.p), f.p) == u
 
 
 def test_division_by_zero():
@@ -74,9 +74,9 @@ def test_field_axioms(data):
 @given(st.data())
 def test_frobenius_is_an_automorphism(data):
     f, (x, y) = field_and_elems(data.draw, 2)
-    fx, fy = f.frobenius(x, 1), f.frobenius(y, 1)
-    assert f.frobenius(f.add(x, y), 1) == f.add(fx, fy)
-    assert f.frobenius(f.mul(x, y), 1) == f.mul(fx, fy)
+    fx, fy = f.pow(x, f.p), f.pow(y, f.p)
+    assert f.pow(f.add(x, y), f.p) == f.add(fx, fy)
+    assert f.pow(f.mul(x, y), f.p) == f.mul(fx, fy)
     # p^m-th power is the identity
     assert f.pow(x, f.order) == x
 
@@ -181,22 +181,31 @@ def test_prime_power_split():
     assert not gf.is_prime_power(1)
 
 
-@pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (7, 2)])
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 4), (3, 4), (7, 2)])
 def test_untabled_arithmetic_matches_tables(p, m, monkeypatch):
-    """Fields above TABLE_LIMIT use the raw arithmetic and the baby-step
-    giant-step dlog; they must agree with the table path on every element."""
+    """Fields above TABLE_LIMIT use the coefficient arithmetic and the
+    baby-step giant-step dlog; they must agree with the table path on every
+    element."""
     tabled = make_field(p, m)
     assert tabled.has_tables
     monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
     raw = gf.Field(p, m, tabled.modulus)
     assert not raw.has_tables
     n = tabled.order - 1
+    for f in (tabled, raw):
+        assert f.pow(0, 0) == 1
+        for zero_division in (lambda: f.pow(0, -1), lambda: f.inv(0),
+                              lambda: f.div(1, 0), lambda: f.dlog(0)):
+            with pytest.raises(ZeroDivisionError):
+                zero_division()
     for x in tabled.elements():
         assert raw.neg(x) == tabled.neg(x)
         for y in tabled.elements():
             assert raw.mul(x, y) == tabled.mul(x, y)
             assert raw.add(x, y) == tabled.add(x, y)
             assert raw.sub(x, y) == tabled.sub(x, y)
+            if p == 2:
+                assert raw.sub(x, y) == raw.add(x, y)
         for e in (0, 1, 2, p, n - 1, n, n + 3):
             assert raw.pow(x, e) == tabled.pow(x, e)
         if x:
