@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -52,7 +54,6 @@ class RunConfig:
     fermat: bool = False
     lambdas_path: Optional[str] = None
     scan: bool = False
-    mode: str = "diagonal_exhaustive"
     samples: int = 10 ** 4
 
 
@@ -92,10 +93,8 @@ def _build_parser() -> _Parser:
     grp.add_argument("--surface", dest="surface_path")
     common(sp)
 
-    sp = sub.add_parser("stabilizer", help="exhaustive diagonal stabilizer scan")
+    sp = sub.add_parser("stabilizer", help="exact diagonal stabilizer")
     sp.add_argument("--case", required=True, choices=("c2", "c3"))
-    sp.add_argument("--mode", choices=("diagonal_exhaustive", "full_small"),
-                    default="diagonal_exhaustive")
     sp.add_argument("--samples", type=int, default=10 ** 4)
     common(sp)
 
@@ -212,8 +211,8 @@ def cmd_stabilizer(cfg: RunConfig) -> int:
     if cfg.q < 3:
         print(f"stabilizer scans need q >= 3, got q={cfg.q}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    report = stabilizer_search(cfg.case, cfg.q, mode=cfg.mode,
-                               samples=cfg.samples, seed=cfg.seed)
+    report = stabilizer_search(cfg.case, cfg.q, samples=cfg.samples,
+                               seed=cfg.seed)
     _emit(report.to_json(), cfg)
     if report.nondiagonal_hits:
         return EXIT_INCONSISTENT
@@ -269,6 +268,11 @@ def main(argv=None) -> int:
         "reps-q2": cmd_reps_q2,
     }
     try:
+        out = cfg.out  # refuse an unwritable --out before any work
+        if out and os.path.isdir(out):
+            raise InputError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise InputError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
         return handlers[cfg.subcommand](cfg)
     except (MatError, OrbitError, SignatureError, ClassifyError, gf.FieldError,
             InputError) as exc:

@@ -1,12 +1,13 @@
 """Symmetric-power action on big form matrices, equivalence and normalization
-of the standard form representatives, twisted congruence solving, stabilizer
-scans, and the closed-form curve counts.
+of the standard form representatives, twisted congruence solving, the
+diagonal stabilizer, and the closed-form curve counts.
 
 Degree-d monomial vectors live in a (d+1)-dimensional space indexed by the
 t-exponent 0..d.  A 4x4 form matrix supported on the four exponents
 (0, i, j, d) embeds as a sparse (d+1)x(d+1) "big form"; GL2 acts on big forms
-through the symmetric power, M -> t(phi(g)) M phi(g)^(q).  Every scan below
-works in the big space, exactly.
+through the symmetric power, M -> t(phi(g)) M phi(g)^(q), exactly.  A
+diagonal g rescales each big cell by a monomial (diag_weight), so diagonal
+problems are congruences on discrete logs.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def aut_order(q: int) -> int:
 def stab_order(case: str, q: int) -> int:
     """Closed-form order of the stabilizer of the standard curve, q >= 3.
 
-    These are the orders the counting formulas divide by.  The diagonal scan
-    (stabilizer_search) recomputes the same quantity exhaustively and the two
-    are compared, never reconciled.
+    These are the orders the counting formulas divide by.  The diagonal
+    stabilizer (stabilizer_search) is computed from the representative's
+    cells instead, and the two are compared, never reconciled.
     """
     if q < 3:
         raise OrbitError("closed-form stabilizer orders need q >= 3")
@@ -201,6 +202,12 @@ def sympow(g: Mat, d: int) -> Mat:
         prod += [0] * (d + 1 - len(prod))
         rows.append(prod)
     return Mat(f, rows)
+
+
+def diag_weight(u: int, w: int, d: int, q: int):
+    """Exponents (a, b) with act(M, diag(l, m)) = l^a m^b M at big cell
+    (u, w): phi(diag(l, m)) is diag(l^(d-k) m^k), k = 0..d."""
+    return (d - u) + q * (d - w), u + q * w
 
 
 def star_positions(case: str, q: int):
@@ -471,7 +478,7 @@ def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
         raise OrbitError("core must match the case shape with zero corner entry")
     sig = case_signature(case, q)
     d, j = sig.d, sig.j
-    exps = ((d * q, d), ((d - j) * (q + 1), j * (q + 1)))
+    exps = (diag_weight(d, 0, d, q), diag_weight(j, j, d, q))
     rep = canonical_rep(case, q)
     tried = []
     for fld, emb in _extension_ladder(B4.field, q, max_ext, tried):
@@ -666,14 +673,13 @@ def build_curve(case: str, q: int, surf: SurfaceSpec,
 
 
 # ---------------------------------------------------------------------------
-# stabilizer scans
+# the stabilizer
 # ---------------------------------------------------------------------------
 
 @dataclass
 class StabilizerReport:
     case: str
     q: int
-    mode: str
     field: Field
     elements: list               # projective 4x4 star matrices, scalar-normalized
     order: int
@@ -688,7 +694,7 @@ class StabilizerReport:
 
     def to_json(self) -> dict:
         return {
-            "case": self.case, "q": self.q, "mode": self.mode,
+            "case": self.case, "q": self.q, "mode": "diagonal_exhaustive",
             "search_field": gf.field_to_json(self.field),
             "order": self.order, "cyclic": self.cyclic,
             "predicted_order": self.predicted_order,
@@ -707,11 +713,27 @@ def _normalize_projective(M: Mat) -> Mat:
     raise OrbitError("zero matrix is not projective")
 
 
-def _star_of_phi(g: Mat, case: str, q: int) -> Mat:
-    d = case_signature(case, q).d
-    phi = sympow(g, d)
-    pos = star_positions(case, q)
-    return Mat(g.field, [[phi.data[r][c] for c in pos] for r in pos])
+def diagonal_fixing_order(M: BigForm, n: int) -> int:
+    """How many x of a cyclic group of order n make diag(x, 1) fix M up to a
+    scalar: it scales cell (u, w) by x^a (diag_weight), so the count is
+    D = gcd(n, a - a0 over M's support).  Only M's cells are read."""
+    a = [diag_weight(u, w, M.n - 1, M.q)[0] for (u, w) in M.cells]
+    return math.gcd(n, *(x - a[0] for x in a))
+
+
+def diagonal_stabilizer(M: BigForm) -> list:
+    """Sorted projective stars diag(1, x^-i, x^-j, x^-d) of every diag(x, 1)
+    over M's field fixing M up to a scalar: the x of order dividing
+    diagonal_fixing_order.  diag(a, e) acts as diag(a/e, 1) projectively."""
+    f = M.field
+    n = f.order - 1
+    step = n // diagonal_fixing_order(M, n)
+    pos = star_positions(M.case, M.q)
+    elements = {}
+    for e in range(0, n, step):
+        star = Mat.diagonal(f, [f.exp_gen(-e * k % n) for k in pos])
+        elements[star.key()] = star
+    return [elements[k] for k in sorted(elements)]
 
 
 def _group_is_cyclic(elements) -> bool:
@@ -719,10 +741,10 @@ def _group_is_cyclic(elements) -> bool:
     order = len(elements)
     if order <= 1:
         return True
+    ident = Mat.identity(elements[0].field, 4)
     for e in elements:
-        k = 1
-        cur = e
-        while not _is_identity_projective(cur):
+        k, cur = 1, e
+        while cur != ident:
             cur = _normalize_projective(cur.mul(e))
             k += 1
             if k > order:
@@ -732,62 +754,34 @@ def _group_is_cyclic(elements) -> bool:
     return False
 
 
-def _is_identity_projective(M: Mat) -> bool:
-    n = _normalize_projective(M)
-    return n == Mat.identity(M.field, 4)
-
-
-def stabilizer_search(case: str, q: int, mode: str = "diagonal_exhaustive",
-                      samples: int = 10 ** 4, seed: int = 1,
-                      search_field: Field = None) -> StabilizerReport:
-    """Scan reparametrizations g for t(phi(g)) M phi(g)^(q) = lambda M with
-    the standard representative M, collect the projective fixing elements,
-    and compare against the closed-form order.
-
-    Diagonal mode is exhaustive over diagonal g modulo scalars (the scalar
-    never changes the condition, so diag(a, d) is scanned as diag(a/d, 1))
-    over GF(q^6), which contains every diagonal solution ratio.  Sampled
-    non-diagonal g double-check that no further solutions hide off the
-    diagonal.  Full mode scans all of GL2 modulo scalars over the search
-    field.
-    """
+def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
+                      seed: int = 1) -> StabilizerReport:
+    """Projective g with t(phi(g)) M phi(g)^(q) = lambda M for the standard
+    representative M, against the closed-form order.  The diagonal part is
+    exact over GF(q^6), which holds every diagonal solution ratio: one gcd
+    over M's support decides it (diagonal_stabilizer), and the order counts
+    distinct projective stars.  Sampled non-diagonal g check that no further
+    solutions hide off the diagonal."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
     if samples < 0:
         raise OrbitError(f"samples must be >= 0, got {samples}")
     rep = canonical_rep(case, q)
-    fld = search_field or gf.gf_ext(q, 3)
+    fld = gf.gf_ext(q, 3)
     big = embed_qprime(rep, case, q).lift_to(fld)
-    elements = {}
-
-    if mode == "diagonal_exhaustive":
-        for r in range(1, fld.order):
-            g = Mat(fld, [[r, 0], [0, 1]])
-            if proportional(act(big, g), big) is not None:
-                star = _normalize_projective(_star_of_phi(g, case, q))
-                elements[star.key()] = star
-    elif mode == "full_small":
-        for g in _pgl2_elements(fld):
-            if proportional(act(big, g), big) is not None:
-                star = _normalize_projective(_star_of_phi(g, case, q))
-                elements[star.key()] = star
-    else:
-        raise OrbitError(f"unknown mode {mode!r}")
-
-    elems = [elements[k] for k in sorted(elements)]
+    elems = diagonal_stabilizer(big)
     hits = 0
-    if mode == "diagonal_exhaustive" and samples:
-        rng = random.Random(seed)
-        done = 0
-        while done < samples:
-            a, b = rng.randrange(fld.order), rng.randrange(fld.order)
-            c, e = rng.randrange(fld.order), rng.randrange(fld.order)
-            if (b == 0 and c == 0) or fld.sub(fld.mul(a, e), fld.mul(b, c)) == 0:
-                continue
-            done += 1
-            g = Mat(fld, [[a, b], [c, e]])
-            if proportional(act(big, g), big) is not None:
-                hits += 1
-    return StabilizerReport(case, q, mode, fld, elems, len(elems),
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        a, b = rng.randrange(fld.order), rng.randrange(fld.order)
+        c, e = rng.randrange(fld.order), rng.randrange(fld.order)
+        if (b == 0 and c == 0) or fld.sub(fld.mul(a, e), fld.mul(b, c)) == 0:
+            continue
+        done += 1
+        g = Mat(fld, [[a, b], [c, e]])
+        if proportional(act(big, g), big) is not None:
+            hits += 1
+    return StabilizerReport(case, q, fld, elems, len(elems),
                             _group_is_cyclic(elems), stab_order(case, q),
-                            samples if mode == "diagonal_exhaustive" else 0, hits)
+                            samples, hits)

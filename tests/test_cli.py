@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hermitia
-from hermitia import gf
+from hermitia import cli, gf
 from hermitia.cli import main
 from hermitia.matff import Mat, random_hermitian_invertible
 
@@ -167,7 +167,8 @@ BAD_INPUT_FILES = {
     ["reps-q2", "--lambdas-file", "not_json.json"],
     ["reps-q2", "--lambdas-file", "long_lambda.json"],
     ["stabilizer", "--q", "3", "--case", "c3", "--samples", "-5"],
-    ["stabilizer", "--q", "3", "--case", "c3", "--mode", "full_small"],
+    ["stabilizer", "--q", "3", "--case", "c3", "--samples", "0",
+     "--out", "missing_dir/x.json"],
     ["count", "--q", "3", "--out", "missing_dir/x.json"],
     ["stabilizer", "--q", "3", "--case", "c3", "--samples", "0", "--out", "."],
     ["build", "--q", "3", "--case", "c1", "--fermat", "--max-ext", "-5"],
@@ -213,6 +214,37 @@ def test_threads_environment_variable_is_ignored():
 def test_threads_flag_is_rejected(capsys):
     assert exit_code(["count", "--q", "3", "--threads", "2"]) == 3
     assert "--threads" in capsys.readouterr().err
+
+
+def test_mode_flag_is_rejected(capsys):
+    argv = ["stabilizer", "--q", "3", "--case", "c3", "--mode", "full_small"]
+    assert exit_code(argv) == 3
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["dir", "missing_dir/x.json"])
+def test_unwritable_out_is_refused_before_any_work(target, tmp_path,
+                                                   monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "stabilizer_search",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / target
+    if target == "dir":
+        out.mkdir()
+    assert main(["stabilizer", "--q", "3", "--case", "c3", "--samples", "0",
+                 "--out", str(out)]) == 3
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot write {out}: ")
+
+
+def test_stabilizer_c2_q8_runs(capsys):
+    """GF(8^6) has 2^18 elements; the diagonal order is one gcd."""
+    code, out = run(["stabilizer", "--q", "8", "--case", "c2", "--samples", "0"],
+                    capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 513 == doc["predicted_order"] and doc["match"]
 
 
 def test_reps_q2_with_lambda_file(tmp_path, capsys):

@@ -9,14 +9,18 @@ from hermitia.matff import (Mat, MatError, fermat_surface, is_hermitian,
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
                             is_identically_zero, on_surface)
 from hermitia.classify import case_shape_check
-from hermitia.orbit import (INFINITE, OrbitError, SearchExhausted,
+from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             _pgl2_elements, act, aut_order, build_curve,
                             canonical_rep, case_target, count_Td, count_report,
-                            embed_qprime, inflate_case1, normalize_to_rep,
-                            pairwise_equivalence, project_star, proportional,
-                            q2_lambda_member, q2_parameter_matrices,
-                            stab_order, stabilizer_search, star_positions,
-                            sympow, twisted_congruence_solve)
+                            diag_weight, diagonal_fixing_order,
+                            diagonal_stabilizer, embed_qprime, inflate_case1,
+                            normalize_to_rep, pairwise_equivalence,
+                            project_star, proportional, q2_lambda_member,
+                            q2_parameter_matrices, stab_order,
+                            stabilizer_search, star_positions, sympow,
+                            twisted_congruence_solve)
+
+from oracles import diagonal_scan_stabilizer, full_small_stabilizer
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -421,7 +425,7 @@ def test_act_requires_common_field():
 # -- stabilizers ------------------------------------------------------------------------
 
 def test_stabilizer_c3_q3_exhaustive_diagonal():
-    """The honest diagonal scan over GF(3^6): exactly (q^3+1)/2 = 14
+    """The exact diagonal stabilizer over GF(3^6): exactly (q^3+1)/2 = 14
     projective elements, double the closed-form prediction for q = 3 mod 4.
     The group is cyclic and closed."""
     rep = stabilizer_search(CASE_C3, 3, samples=300, seed=7)
@@ -450,9 +454,8 @@ def test_stabilizer_c3_q3_full_gl2_over_gf9():
     """Exhaustive over all of GL2(GF(9)), no diagonal restriction: the
     fixing elements visible in GF(9) are exactly the identity and the
     order-two element (the 14th roots of unity meet GF(9)* in {1, -1})."""
-    rep = stabilizer_search(CASE_C3, 3, mode="full_small",
-                            search_field=gf.gfq2(3), samples=0)
-    assert rep.order == 2
+    M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
+    assert len(full_small_stabilizer(M)) == 2
 
 
 def test_stabilizer_c2_q4_matches_prediction():
@@ -462,6 +465,73 @@ def test_stabilizer_c2_q4_matches_prediction():
     assert rep.predicted_order == 65
     assert rep.matches_prediction
     assert rep.nondiagonal_hits == 0
+
+
+@pytest.mark.parametrize("case,q,m", [
+    (CASE_C3, 3, 3), (CASE_C2, 4, 3), (CASE_C3, 5, 3),
+    (CASE_C3, 3, 1), (CASE_C3, 3, 2), (CASE_C2, 4, 1), (CASE_C2, 4, 2),
+])
+def test_diagonal_stabilizer_matches_diagonal_scan(case, q, m):
+    """The gcd over the support gives the same sorted stars as the dense
+    act over every diag(r, 1) of GF(q^(2m))."""
+    M = embed_qprime(canonical_rep(case, q), case, q).lift_to(gf.gf_ext(q, m))
+    assert diagonal_stabilizer(M) == diagonal_scan_stabilizer(M)
+
+
+@pytest.mark.parametrize("case,q,m", [
+    (CASE_C3, 3, 1), (CASE_C3, 3, 2), (CASE_C3, 3, 3),
+    (CASE_C2, 4, 1), (CASE_C2, 4, 2),
+])
+def test_diagonal_stabilizer_matches_scan_on_random_supports(case, q, m):
+    """The same comparison on forms with random cells on the case's star
+    positions, where the gcd needs every cell of the support."""
+    fld = gf.gf_ext(q, m)
+    pos = star_positions(case, q)
+    rng = random.Random(10 * q + m)
+    for _ in range(3):
+        cells = {(r, c): rng.randrange(1, fld.order)
+                 for r in pos for c in pos if rng.random() < 0.4}
+        M = BigForm(case, q, pos[-1] + 1, fld, cells)
+        assert diagonal_stabilizer(M) == diagonal_scan_stabilizer(M)
+
+
+@pytest.mark.parametrize("q,cases", [
+    (3, (CASE_C1, CASE_C3)), (4, (CASE_C1, CASE_C2)), (7, (CASE_C1, CASE_C3)),
+])
+def test_act_by_diagonal_scales_each_cell_by_diag_weight(q, cases):
+    """act(M, diag(l, m)) multiplies cell (u, w) by l^a m^b, (a, b) =
+    diag_weight(u, w, d, q), on a form with every cell nonzero."""
+    fld = gf.gfq2(q)
+    rng = random.Random(q)
+    for case in cases:
+        n = case_signature(case, q).d + 1
+        cells = {(u, w): rng.randrange(1, fld.order)
+                 for u in range(n) for w in range(n)}
+        M = BigForm(case, q, n, fld, cells)
+        for _ in range(3):
+            lam, mu = rng.randrange(1, fld.order), rng.randrange(1, fld.order)
+            moved = act(M, Mat.diagonal(fld, [lam, mu]))
+            expect = {}
+            for (u, w), v in cells.items():
+                a, b = diag_weight(u, w, n - 1, q)
+                expect[(u, w)] = fld.mul(v, fld.mul(fld.pow(lam, a),
+                                                    fld.pow(mu, b)))
+            assert moved.cells == expect
+
+
+@pytest.mark.parametrize("case,q,order,closed_form", [
+    (CASE_C3, 9, 365, 365), (CASE_C3, 11, 666, 333),
+    (CASE_C3, 13, 1099, 1099), (CASE_C3, 19, 3430, 1715),
+    (CASE_C3, 23, 6084, 3042), (CASE_C3, 27, 9842, 4921),
+    (CASE_C2, 16, 4097, 4097), (CASE_C2, 32, 32769, 32769),
+])
+def test_diagonal_order_table_without_gf_q6(case, q, order, closed_form):
+    """The diagonal order over GF(q^6) from the support exponents and
+    n = q^6 - 1 alone, beside the closed form it is never reconciled with:
+    they differ by a factor of 2 exactly at q = 3 mod 4."""
+    M = embed_qprime(canonical_rep(case, q), case, q)
+    assert diagonal_fixing_order(M, q ** 6 - 1) == order
+    assert stab_order(case, q) == closed_form
 
 
 def test_stabilizer_rejects_c1():
