@@ -170,12 +170,14 @@ def is_irreducible(modulus, p: int) -> bool:
 @lru_cache(maxsize=None)
 def default_modulus(p: int, m: int):
     """First monic irreducible of degree m over GF(p), non-leading coefficients
-    ordered lexicographically (constant term compared first)."""
+    ordered lexicographically (constant term compared first).  For m > 1 a
+    constant term 0 makes the candidate divisible by x, so the walk starts
+    the constant term at 1."""
     if m == 1:
         return (0, 1)
     from itertools import product
-    for coeffs in product(range(p), repeat=m):
-        cand = tuple(coeffs) + (1,)
+    for coeffs in product(range(1, p), *[range(p)] * (m - 1)):
+        cand = coeffs + (1,)
         if is_irreducible(cand, p):
             return cand
     raise FieldError(f"no irreducible of degree {m} over GF({p})")  # unreachable
@@ -220,13 +222,10 @@ class Field:
         """Build exp/log tables (and Zech logarithms for odd p) and bind
         table-lookup arithmetic over the coefficient methods."""
         n = self.order - 1
-        exp = [0] * n   # exp[i] = g^i
+        exp = _power_table(self)  # exp[i] = g^i
         log = [0] * self.order
-        v = 1
-        for i in range(n):
-            exp[i] = v
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self.mul(v, self._gen)
 
         def mul(x, y):
             return exp[(log[x] + log[y]) % n] if x and y else 0
@@ -430,6 +429,49 @@ class Field:
         nd = n // d
         base = (lw // d) * pow(k // d, -1, nd) % nd
         return sorted(self.exp_gen(base + t * nd) for t in range(d))
+
+
+def _power_table(field: Field) -> list:
+    """[g^0, g^1, ..., g^(order-2)] for the canonical generator g.
+
+    Multiplication by g is GF(p)-linear, so each step splits the packed
+    power into a low half (the m // 2 low digits) and a high half and adds
+    two precomputed products, one per half.  The products are kept spread
+    out, each base-p digit in its own field of `bits` bits, wide enough for
+    a digit sum up to 2p - 2; the sum has no carries, and one lookup per
+    half reduces its digits mod p and packs them again."""
+    p, m = field.p, field.m
+    g = field._gen
+    low = m // 2
+    plow = p ** low
+    bits = (2 * p - 2).bit_length()
+
+    def spread(v):
+        s = shift = 0
+        while v:
+            v, c = divmod(v, p)
+            s |= c << shift
+            shift += bits
+        return s
+
+    # Field.mul is the coefficient method, whatever the instance has bound
+    lo_times_g = [spread(Field.mul(field, x, g)) for x in range(plow)]
+    hi_times_g = [spread(Field.mul(field, x * plow, g))
+                  for x in range(p ** (m - low))]
+    top = (1 << bits) - 1
+    widest = sum((2 * p - 2) << bits * k for k in range(m - low))
+    pack = [0] * (widest + 1)
+    for s in range(1, len(pack)):
+        pack[s] = (s & top) % p + p * pack[s >> bits]
+    mask = (1 << bits * low) - 1
+    shift = bits * low
+    lo, hi = (1, 0) if low else (0, 1)
+    exp = [0] * (field.order - 1)
+    for i in range(len(exp)):
+        exp[i] = lo + hi * plow
+        s = lo_times_g[lo] + hi_times_g[hi]
+        lo, hi = pack[s & mask], pack[s >> shift]
+    return exp
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,13 @@
 symbolic expansion and the exact surface-containment test, and the
 smoothness / singularity bookkeeping for the three standard curve families.
 
+Smoothness is decided without walking points: every entry of the Jacobian
+of a stored equation system along the curve is a binary form over GF(p),
+so the 2x2 minors are too, and the rank drops below 2 exactly at their
+common zeros.  Those are read off at t = 0 and s = 0 from the minors' end
+coefficients, and elsewhere from the roots of their gcd in the parameter
+field.
+
 A signature (d, i, j) names the parametrization (s^d, s^(d-i) t^i,
 s^(d-j) t^j, t^d).  Scaling (d,i,j) by n and the flip
 (d,i,j) -> (d, d-j, d-i) give the same curve up to coordinate changes, so
@@ -117,19 +124,6 @@ def is_identically_zero(sig: Signature, q: int, B: Mat) -> bool:
     return expand_form(sig, q, B).is_zero()
 
 
-def evaluate_form(sig: Signature, q: int, B: Mat, s: int, t: int) -> int:
-    """Value of t(v) B v^(q) at (s, t); an independent check of expand_form."""
-    f = B.field
-    v = [f.mul(f.pow(s, sig.d - e), f.pow(t, e)) for e in sig.exponents]
-    acc = 0
-    for l in range(4):
-        for m in range(4):
-            b = B.data[l][m]
-            if b:
-                acc = f.add(acc, f.mul(f.mul(v[l], b), f.pow(v[m], q)))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------
@@ -148,7 +142,7 @@ class CurveSpec:
 
     def point(self, s: int, t: int):
         f = self.frame.field
-        v = [f.mul(f.pow(s, self.sig.d - e), f.pow(t, e)) for e in self.sig.exponents]
+        v = monomial_point(self.sig, f, s, t)
         return [_dot(f, row, v) for row in self.frame.data]
 
     def to_json(self) -> dict:
@@ -158,6 +152,12 @@ class CurveSpec:
     @classmethod
     def from_json(cls, obj) -> "CurveSpec":
         return cls(obj["q"], Signature(*obj["sig"]), Mat.from_json(obj["frame"]))
+
+
+def monomial_point(sig: Signature, field: Field, s: int, t: int):
+    """(s^d, s^(d-i) t^i, s^(d-j) t^j, t^d) over the field."""
+    return [field.mul(field.pow(s, sig.d - e), field.pow(t, e))
+            for e in sig.exponents]
 
 
 def _dot(f, row, v):
@@ -260,13 +260,6 @@ def normalize_point(field: Field, point):
     raise MatError("zero vector is not a projective point")
 
 
-def projective_line(field: Field):
-    """All points of P^1 over the field: (1 : t) for every t, then (0 : 1)."""
-    for t in field.elements():
-        yield (1, t)
-    yield (0, 1)
-
-
 @dataclass
 class SmoothnessReport:
     case: str
@@ -288,28 +281,145 @@ class SmoothnessReport:
         }
 
 
+
+
+# ---------------------------------------------------------------------------
+# smoothness from the Jacobian minors
+# ---------------------------------------------------------------------------
+
+def _degree(eq: dict) -> int:
+    degrees = {sum(expv) for expv in eq}
+    if len(degrees) != 1:
+        raise MatError("a defining equation must be a nonzero homogeneous form")
+    return degrees.pop()
+
+
+def _pull_back(eq: dict, sig: Signature, p: int) -> dict:
+    """The form eq(v(s, t)) over GF(p) as {t-exponent: coefficient}; the
+    s-exponent is the degree of eq times d, minus the t-exponent."""
+    e = sig.exponents
+    out = {}
+    for expv, c in eq.items():
+        k = sum(a * b for a, b in zip(expv, e))
+        out[k] = (out.get(k, 0) + c) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def jacobian_minors(eqs, sig: Signature, p: int):
+    """The 2x2 minors of the Jacobian of eqs at v(s, t), as (degree, form)
+    pairs with form = {t-exponent: coefficient mod p}.  Entry (k, l) is the
+    pull-back of d eq_k / d x_l, a form of degree (deg eq_k - 1) d; the minor
+    on rows a, b has degree (deg eq_a + deg eq_b - 2) d.  The Jacobian has
+    rank below 2 at v(s, t) exactly when every minor vanishes there."""
+    degrees = [_degree(eq) for eq in eqs]
+    J = [[_pull_back(_partial(eq, l), sig, p) for l in range(4)] for eq in eqs]
+    minors = []
+    for a in range(len(eqs)):
+        for b in range(a + 1, len(eqs)):
+            degree = (degrees[a] + degrees[b] - 2) * sig.d
+            for l in range(4):
+                for m in range(l + 1, 4):
+                    form = {}
+                    for x, y, sign in ((J[a][l], J[b][m], 1),
+                                       (J[a][m], J[b][l], -1)):
+                        for ex, cx in x.items():
+                            for ey, cy in y.items():
+                                form[ex + ey] = (form.get(ex + ey, 0)
+                                                 + sign * cx * cy) % p
+                    minors.append(
+                        (degree, {k: c for k, c in form.items() if c}))
+    return minors
+
+
+def minor_gcd(minors, p: int):
+    """gcd over GF(p) of the minors at s = 1, each with its powers of
+    x = t/s divided out, as coefficients low to high; () when every minor
+    vanishes identically.  Its roots are the parameters (1 : x), x != 0,
+    where the rank drops.  Lowest degree first, so a minor with a single
+    term ends the search at once."""
+    polys = sorted(({k - min(form): c for k, c in form.items()}
+                    for _, form in minors if form), key=max)
+    g = ()
+    for poly in polys:
+        dense = [0] * (max(poly) + 1)
+        for k, c in poly.items():
+            dense[k] = c
+        g = gf._poly_gcd(g, dense, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _roots_in(g, field: Field):
+    """The nonzero roots in the field of a polynomial over GF(p) (low to
+    high; () is the zero polynomial), through h = gcd(g, x^order - x)."""
+    if not g:
+        return list(range(1, field.order))
+    if len(g) == 1:
+        return []
+    p = field.p
+    xq = list(gf._poly_powmod((0, 1), field.order, g, p)) + [0, 0]
+    xq[1] = (xq[1] - 1) % p
+    h = gf._poly_gcd(g, xq, p)
+    if len(h) == 1:
+        return []
+    roots = []
+    for r in range(1, field.order):
+        acc = 0
+        for c in reversed(h):
+            acc = field.add(field.mul(acc, r), c)
+        if acc == 0:
+            roots.append(r)
+    return roots
+
+
+def _vanishes_on_line(eq: dict, sig: Signature, field: Field) -> bool:
+    """Whether eq vanishes at v(s, t) for every (s : t) in P^1(field): the
+    pulled-back form vanishes at (1 : 0) and (0 : 1), and x^order - x
+    divides its value at s = 1.  The remainder folds x^k onto
+    x^(1 + (k-1) mod (order-1)); a form that cancels identically passes."""
+    form = _pull_back(eq, sig, field.p)
+    if 0 in form or _degree(eq) * sig.d in form:
+        return False
+    n = field.order - 1
+    rem = {}
+    for k, c in form.items():
+        e = 1 + (k - 1) % n
+        rem[e] = (rem.get(e, 0) + c) % field.p
+    return not any(rem.values())
+
+
+def decide_smoothness(eqs, sig: Signature, field: Field):
+    """(containment_ok, singular) for the homogeneous system eqs along
+    v(s, t) over P^1(field), decided from the Jacobian minors over GF(p).
+    Candidates are (1 : 0) when every minor's t^0 coefficient vanishes,
+    (0 : 1) when every top coefficient does, and (1 : r) for the roots r of
+    the minors' gcd in the field; each candidate's image is normalized and
+    its rank taken with jacobian_rank.  `singular` lists the points of rank
+    below 2 with their rank, sorted."""
+    minors = jacobian_minors(eqs, sig, field.p)
+    params = [(1, r) for r in _roots_in(minor_gcd(minors, field.p), field)]
+    if not any(form.get(0) for _, form in minors):
+        params.append((1, 0))
+    if not any(form.get(degree) for degree, form in minors):
+        params.append((0, 1))
+    points = {normalize_point(field, monomial_point(sig, field, s, t))
+              for s, t in params}
+    containment_ok = all(_vanishes_on_line(eq, sig, field) for eq in eqs)
+    return containment_ok, sorted((pt, jacobian_rank(eqs, pt, field))
+                                  for pt in points)
+
+
 def smoothness_scan(case: str, q: int, param_field: Field) -> SmoothnessReport:
-    """Walk every parameter value of P^1 over param_field through the
-    standard curve, confirm each image point satisfies the stored equations,
-    and report every point where the Jacobian rank of the system drops
-    below 2."""
+    """Decide, for every parameter value of P^1 over param_field, whether
+    the standard curve's image satisfies the stored equations and where the
+    Jacobian rank of the system drops below 2 (decide_smoothness).  Exact:
+    no point is sampled.  `points_scanned` is param_field.order + 1, the
+    number of parameters the verdict covers."""
     p, n = gf.prime_power_split(q)
     if param_field.p != p or param_field.m % (2 * n):
         raise MatError("parameter field must extend GF(q^2)")
-    sig = case_signature(case, q)
-    eqs = defining_equations(case, q)
-    curve = CurveSpec(q, sig, Mat.identity(param_field, 4))
-
-    points = 0
-    containment_ok = True
-    seen = {}
-    for s, t in projective_line(param_field):
-        points += 1
-        pt = normalize_point(param_field, curve.point(s, t))
-        if not all(eval_equation(eq, pt, param_field) == 0 for eq in eqs):
-            containment_ok = False
-        rank = jacobian_rank(eqs, pt, param_field)
-        if rank < 2:
-            seen[pt] = min(rank, seen.get(pt, 2))
-    return SmoothnessReport(case, q, param_field, points, containment_ok,
-                            sorted(seen.items()))
+    containment_ok, singular = decide_smoothness(
+        defining_equations(case, q), case_signature(case, q), param_field)
+    return SmoothnessReport(case, q, param_field, param_field.order + 1,
+                            containment_ok, singular)

@@ -1,15 +1,21 @@
-"""Brute-force stabilizer scans, kept as oracles for the differential tests.
+"""Brute-force scans, kept as oracles for the differential tests.
 
 The package decides the diagonal stabilizer with one gcd over the
-representative's support (orbit.diagonal_stabilizer).  These scans decide
-the same questions the slow way, one dense act per group element, so the
-tests can check the fast path on every field they can still reach.
+representative's support (orbit.diagonal_stabilizer), and smoothness from
+the gcd of the Jacobian minors (tetra.decide_smoothness).  These scans
+decide the same questions the slow way, one dense act per group element or
+one Jacobian rank per point of P^1, so the tests can check the fast paths
+on every field they can still reach.
 """
 
-from hermitia.matff import Mat
+from hermitia import gf
+from hermitia.matff import Mat, MatError
 from hermitia.orbit import (StabilizerReport, _group_is_cyclic,
                             _normalize_projective, _pgl2_elements, act,
                             proportional, stab_order, star_positions, sympow)
+from hermitia.tetra import (SmoothnessReport, case_signature,
+                            defining_equations, eval_equation, jacobian_rank,
+                            monomial_point, normalize_point)
 
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:
@@ -51,3 +57,53 @@ def full_small_report(M) -> dict:
                            stab_order(M.case, M.q)).to_json()
     doc["mode"] = "full_small"
     return doc
+
+
+# -- smoothness --------------------------------------------------------------
+
+def projective_line(field):
+    """All points of P^1 over the field: (1 : t) for every t, then (0 : 1)."""
+    for t in field.elements():
+        yield (1, t)
+    yield (0, 1)
+
+
+def evaluate_form(sig, q, B, s, t):
+    """Value of t(v) B v^(q) at (s, t); an independent check of
+    tetra.expand_form."""
+    f = B.field
+    v = monomial_point(sig, f, s, t)
+    acc = 0
+    for l in range(4):
+        for m in range(4):
+            b = B.data[l][m]
+            if b:
+                acc = f.add(acc, f.mul(f.mul(v[l], b), f.pow(v[m], q)))
+    return acc
+
+
+def walk_smoothness(eqs, sig, field):
+    """(containment_ok, singular) by walking every parameter of P^1 over the
+    field: each image point is normalized, checked against every equation,
+    and its Jacobian rank taken."""
+    containment_ok = True
+    seen = {}
+    for s, t in projective_line(field):
+        pt = normalize_point(field, monomial_point(sig, field, s, t))
+        if not all(eval_equation(eq, pt, field) == 0 for eq in eqs):
+            containment_ok = False
+        rank = jacobian_rank(eqs, pt, field)
+        if rank < 2:
+            seen[pt] = min(rank, seen.get(pt, 2))
+    return containment_ok, sorted(seen.items())
+
+
+def smoothness_walk(case, q, param_field):
+    """tetra.smoothness_scan by walking all param_field.order + 1 points."""
+    p, n = gf.prime_power_split(q)
+    if param_field.p != p or param_field.m % (2 * n):
+        raise MatError("parameter field must extend GF(q^2)")
+    containment_ok, singular = walk_smoothness(
+        defining_equations(case, q), case_signature(case, q), param_field)
+    return SmoothnessReport(case, q, param_field, param_field.order + 1,
+                            containment_ok, singular)

@@ -19,14 +19,14 @@ from hermitia.matff import (Mat, fermat_surface, hermitian_decompose,
                             random_mat, twisted_gram)
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             canonical_signature, case_signature,
-                            evaluate_form, is_identically_zero, on_surface,
-                            projective_line, smoothness_scan)
+                            is_identically_zero, on_surface, smoothness_scan)
 from hermitia.classify import enumerate_admissible
 from hermitia.orbit import (act, aut_order, build_curve, count_Td,
                             case_target, embed_qprime, inflate_case1,
                             pairwise_equivalence, proportional,
                             q2_lambda_member, stab_order, stabilizer_search,
                             sympow)
+from oracles import evaluate_form, projective_line
 
 
 def _report(n, label, t0):

@@ -25,6 +25,52 @@ def test_default_moduli_are_the_documented_ones():
     assert make_field(2, 4).modulus == (1, 0, 0, 1, 1)
 
 
+def _default_modulus_by_full_walk(p, m):
+    """The first monic irreducible over every non-leading coefficient tuple
+    in lexicographic order, constant term 0 included."""
+    if m == 1:
+        return (0, 1)
+    for coeffs in itertools.product(range(p), repeat=m):
+        if gf.is_irreducible(coeffs + (1,), p):
+            return coeffs + (1,)
+
+
+def test_default_modulus_matches_the_full_walk():
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 9):
+            if p ** m <= 10 ** 7:
+                assert (gf.default_modulus(p, m)
+                        == _default_modulus_by_full_walk(p, m)), (p, m)
+
+
+def test_default_modulus_skips_constant_term_zero(monkeypatch):
+    calls = []
+    real = gf.is_irreducible
+
+    def counting(modulus, p):
+        calls.append(modulus)
+        return real(modulus, p)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    modulus = gf.default_modulus.__wrapped__(2, 24)
+    assert real(modulus, 2) and modulus[0] == 1
+    assert len(calls) < 1000
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (5, 6), (7, 4), (13, 4), (2, 12)])
+def test_tables_match_coefficient_fill(p, m):
+    """exp, log and Zech tables against powers of the generator taken with
+    the coefficient multiplication, one step at a time."""
+    f = make_field(p, m)
+    g = f.generator()
+    v = 1
+    for i in range(f.order - 1):
+        assert f.exp_gen(i) == v and f.dlog(v) == i
+        assert f.add(1, v) == gf.Field.add(f, 1, v)
+        v = gf.Field.mul(f, v, g)
+    assert v == 1
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         make_field(2, 2, (1, 0, 1))   # x^2 + 1 = (x+1)^2 over GF(2)

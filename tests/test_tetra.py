@@ -8,10 +8,13 @@ from hermitia.matff import Mat, MatError, fermat_surface, random_mat
 from hermitia.orbit import case_target, twisted_congruence_solve
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             SignatureError, canonical_signature, case_signature,
-                            defining_equations, eval_equation, evaluate_form,
-                            expand_form, exponent_matrix, is_identically_zero,
-                            jacobian_matrix, jacobian_rank, normalize_point,
-                            on_surface, projective_line, smoothness_scan)
+                            decide_smoothness, defining_equations,
+                            eval_equation, expand_form, exponent_matrix,
+                            is_identically_zero, jacobian_matrix,
+                            jacobian_minors, jacobian_rank, minor_gcd,
+                            normalize_point, on_surface, smoothness_scan)
+from oracles import (evaluate_form, projective_line, smoothness_walk,
+                     walk_smoothness)
 
 
 # -- signatures -----------------------------------------------------------------
@@ -230,3 +233,96 @@ def test_smoothness_scan_c2_q2_singular_at_one_zero():
 def test_smoothness_scan_field_validation():
     with pytest.raises(MatError):
         smoothness_scan(CASE_C1, 3, gf.make_field(3, 3))  # no GF(9) inside
+
+
+# -- smoothness from the Jacobian minors against the P^1 walk ----------------------
+
+@pytest.mark.parametrize("case,q", [(CASE_C1, q) for q in (2, 3, 4, 5, 7, 8)]
+                         + [(CASE_C2, q) for q in (2, 4, 8)]
+                         + [(CASE_C3, q) for q in (3, 5, 7)])
+def test_smoothness_scan_matches_walk(case, q):
+    fld = gf.gf_ext(q, 2)
+    assert (smoothness_scan(case, q, fld).to_json()
+            == smoothness_walk(case, q, fld).to_json())
+
+
+@pytest.mark.parametrize("case,qs", [
+    (CASE_C1, [q for q in range(2, 28) if gf.is_prime_power(q)]),
+    (CASE_C2, [2, 4, 8, 16, 32]),
+    (CASE_C3, [q for q in range(3, 28, 2) if gf.is_prime_power(q)]),
+])
+def test_standard_minor_gcd_is_constant(case, qs):
+    """Off s = 0 and t = 0 the minors of the standard systems have no
+    common root anywhere, so their verdict holds over every extension."""
+    for q in qs:
+        p, _ = gf.prime_power_split(q)
+        minors = jacobian_minors(defining_equations(case, q),
+                                 case_signature(case, q), p)
+        assert len(minor_gcd(minors, p)) == 1, (case, q)
+
+
+def _product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+CUBIC = Signature(3, 1, 2)          # the twisted cubic (s^3, s^2 t, s t^2, t^3)
+X2X3 = {(0, 0, 1, 1): 1}
+# x0^2 + x1^2 and x1^3 - x1 x0^2 + x0^3 are irreducible over GF(3); on the
+# cubic they are s^6 (1 + x^2) and s^9 (x^3 - x + 1) with x = t/s
+SUM_OF_SQUARES = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}
+ARTIN_SCHREIER = {(0, 3, 0, 0): 1, (2, 1, 0, 0): -1, (3, 0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("factor,degree,m,roots", [
+    (SUM_OF_SQUARES, 2, 4, 2),   # roots +-i lie in GF(9) inside GF(81)
+    (ARTIN_SCHREIER, 3, 3, 3),   # the three roots lie in GF(27)
+    (ARTIN_SCHREIER, 3, 2, 0),   # ... and none in GF(9): no point to report
+])
+def test_planted_rank_drop_off_the_axes(factor, degree, m, roots):
+    """The gradient of factor^2 vanishes where factor does, so the rank
+    drops at (1 : r) for every root r of the factor in the field, besides
+    the two axis points (1 : 0) and (0 : 1)."""
+    eqs = [_product(factor, factor), X2X3]
+    fld = gf.make_field(3, m)
+    assert len(minor_gcd(jacobian_minors(eqs, CUBIC, 3), 3)) - 1 == degree
+    got = decide_smoothness(eqs, CUBIC, fld)
+    assert got == walk_smoothness(eqs, CUBIC, fld)
+    axes = {(0, 0, 0, 1), (1, 0, 0, 0)}
+    assert axes <= {pt for pt, _ in got[1]}
+    assert len(got[1]) == len(axes) + roots
+
+
+def test_planted_equation_off_the_curve():
+    """x0 x3 - x1^2 pulls back to s^3 t^3 - s^4 t^2, which vanishes only at
+    t = 0, t = s and s = 0."""
+    eqs = [{(1, 0, 0, 1): 1, (0, 2, 0, 0): -1}, X2X3]
+    fld = gf.make_field(3, 2)
+    got = decide_smoothness(eqs, CUBIC, fld)
+    assert got == walk_smoothness(eqs, CUBIC, fld)
+    assert got[0] is False
+
+
+@pytest.mark.parametrize("eq,m,vanishes", [
+    # s t (s^3 - t^3): zero at every point of P^1(GF(4)), not of P^1(GF(16))
+    ({(0, 1, 0, 0): 1, (0, 0, 1, 0): -1}, 2, True),
+    ({(0, 1, 0, 0): 1, (0, 0, 1, 0): -1}, 4, False),
+    # t^10 - s^6 t^4 is zero at every (1 : x) over GF(4), but not at (0 : 1)
+    ({(0, 0, 0, 2): 1, (1, 0, 1, 0): -1}, 2, False),
+    # s^10 - s^4 t^6 is zero at every (1 : x), x != 0, but not at (1 : 0)
+    ({(2, 0, 0, 0): 1, (0, 1, 0, 1): -1}, 2, False),
+])
+def test_planted_equation_vanishing_on_field_points_only(eq, m, vanishes):
+    """Forms on (s^5, s^4 t, s t^4, t^5) that are nonzero but vanish on
+    many field points.  One equation has no 2x2 minors, so every point has
+    rank at most 1."""
+    sig = Signature(5, 1, 4)
+    fld = gf.make_field(2, m)
+    got = decide_smoothness([eq], sig, fld)
+    assert got == walk_smoothness([eq], sig, fld)
+    assert got[0] is vanishes
+    assert len(got[1]) == fld.order + 1
