@@ -587,14 +587,3 @@ def field_to_json(field: Field) -> dict:
 
 def field_from_json(obj) -> Field:
     return make_field(obj["p"], obj["m"], tuple(obj["modulus"]))
-
-
-def element_to_json(field: Field, x: int) -> dict:
-    out = field_to_json(field)
-    out["coeffs"] = field.coeffs(x)
-    return out
-
-
-def element_from_json(obj):
-    field = field_from_json(obj)
-    return field, field.element(obj["coeffs"])

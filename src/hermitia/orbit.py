@@ -248,19 +248,6 @@ def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
     return BigForm(case, q, n, B4.field, cells)
 
 
-def project_star(M: BigForm) -> Mat:
-    """Inverse of embed_qprime on its image."""
-    pos = star_positions(M.case, M.q)
-    posset = set(pos)
-    if any(r not in posset or c not in posset for (r, c) in M.cells):
-        raise OrbitError("big form has support outside the case index set")
-    idx = {e: k for k, e in enumerate(pos)}
-    data = [[0] * 4 for _ in range(4)]
-    for (r, c), v in M.cells.items():
-        data[idx[r]][idx[c]] = v
-    return Mat(M.field, data)
-
-
 def act(M: BigForm, g: Mat) -> BigForm:
     """t(phi(g)) M phi(g)^(q), computed exactly in the big space."""
     if g.field is not M.field:
@@ -311,46 +298,103 @@ def proportional(M: BigForm, N: BigForm) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
+# diagonal congruences
+# ---------------------------------------------------------------------------
+
+def _solve_linear_congruence(a: int, b: int, n: int) -> Optional[int]:
+    """Smallest x with a x == b (mod n), or None."""
+    g = math.gcd(a, n)
+    if b % g:
+        return None
+    return (b // g) * pow(a // g, -1, n // g) % (n // g)
+
+
+def diagonal_solutions(M: BigForm, N: BigForm):
+    """(X0, step) such that act(M, diag(x^X, 1)), x the generator of M's
+    field, is proportional to N exactly when X == X0 (mod step); None when no
+    X is.  diag(x^X, 1) scales cell (u, w) by x^(X a) (diag_weight), so with
+    r = dlog(N / M) each support cell asks (a - a0) X == r - r0 (mod |F| - 1)
+    against the first cell: one linear congruence per cell."""
+    if set(M.cells) != set(N.cells):
+        return None
+    f = M.field
+    n = f.order - 1
+    x0, step, first = 0, 1, None
+    for (u, w), v in M.cells.items():
+        a = diag_weight(u, w, M.n - 1, M.q)[0]
+        r = f.dlog(f.div(N.cells[(u, w)], v))
+        first = first or (a, r)
+        a, r = a - first[0], r - first[1]
+        t = _solve_linear_congruence(a * step % n, (r - a * x0) % n, n)
+        if t is None:
+            return None
+        x0 += step * t
+        step *= n // math.gcd(a * step, n)
+    return x0 % step, step
+
+
+def diagonal_fixing_order(M: BigForm, n: int) -> int:
+    """How many x of a cyclic group of order n make diag(x, 1) fix M up to a
+    scalar, the homogeneous case N = M of diagonal_solutions (n / step): the
+    count is D = gcd(n, a - a0 over M's support).  Only M's cells are read,
+    so n need not be the order of M's field."""
+    a = [diag_weight(u, w, M.n - 1, M.q)[0] for (u, w) in M.cells]
+    return math.gcd(n, *(x - a[0] for x in a))
+
+
+# ---------------------------------------------------------------------------
 # equivalence scans
 # ---------------------------------------------------------------------------
 
-def _pgl2_elements(fld: Field):
-    """One matrix per scalar class of GL2(fld): [[1, b], [c, e]] with e != bc,
-    then [[0, 1], [c, e]] with c != 0, |F|(|F|^2 - 1) in all.  A scalar
-    lambda I multiplies every big form by lambda^(d(q+1)), so a scan up to
-    proportionality needs no other element.  Refuses before anything is
+def _torus_cosets(fld: Field):
+    """One h per ordered pair of distinct points of P^1 over fld, the images
+    of (1 : 0) and (0 : 1): [[1, y], [x, 1]] with xy != 1, [[0, 1], [1, y]],
+    and [[1, 1], [x, 0]] with x != 0, |F|(|F| + 1) in all.  Every invertible
+    g is h diag(s, t) for exactly one of them.  Refuses before anything is
     generated when |F|^4 exceeds the GL2 scan guard."""
     if fld.order ** 4 > _GL2_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
                          f"> {_GL2_SCAN_LIMIT}")
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
-        (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
-         if e != mul(b, c)),
-        (Mat(fld, [[0, 1], [c, e]]) for c in F if c for e in F))
+        (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F if mul(x, y) != 1),
+        (Mat(fld, [[0, 1], [1, y]]) for y in F),
+        (Mat(fld, [[1, 1], [x, 0]]) for x in F if x))
 
 
 def pairwise_equivalence(forms, search_field: Field):
-    """Scan PGL2 over the search field once, testing every ordered pair of
+    """Scan GL2 over the search field once, testing every ordered pair of
     forms; returns {(i, j): witness g or None}.  A None verdict is exhaustive
-    for this field, nothing more."""
-    elements = _pgl2_elements(search_field)
+    for this field, nothing more.
+
+    Coset lemma: every invertible g is h diag(s, t) for exactly one h of
+    _torus_cosets, and act(M, h D) = act(act(M, h), D).  Projectively
+    diag(s, t) is diag(s/t, 1), so one act per (h, source) and one
+    diagonal_solutions call per target decide the whole torus coset h T:
+    |F|(|F| + 1) acts per source instead of |F|(|F|^2 - 1)."""
+    cosets = _torus_cosets(search_field)
     lifted = [m.lift_to(search_field) for m in forms]
     n = len(lifted)
     verdicts = {(i, j): None for i in range(n) for j in range(n) if i != j}
     unresolved = set(verdicts)
-    for g in elements:
+    for h in cosets:
         if not unresolved:
             break
         by_source = {}
         for (i, j) in unresolved:
             by_source.setdefault(i, []).append(j)
         for i, targets in by_source.items():
-            Mi = act(lifted[i], g)
+            Mh = act(lifted[i], h)
             for j in targets:
-                if proportional(Mi, lifted[j]) is not None:
-                    verdicts[(i, j)] = g
-                    unresolved.discard((i, j))
+                sol = diagonal_solutions(Mh, lifted[j])
+                if sol is None:
+                    continue
+                x = search_field.exp_gen(sol[0])
+                g = h.mul(Mat(search_field, [[x, 0], [0, 1]]))
+                if proportional(act(lifted[i], g), lifted[j]) is None:
+                    raise OrbitError("internal: torus coset witness fails act")
+                verdicts[(i, j)] = g
+                unresolved.discard((i, j))
     return verdicts
 
 
@@ -389,11 +433,13 @@ def inflate_case1(params: Mat, q: int = 2) -> Mat:
 # normalization to the representative (diagonal reparametrization)
 # ---------------------------------------------------------------------------
 
-def _extension_ladder(src: Field, q: int, max_ext: int, tried: list):
+def _extension_ladder(src: Field, q: int, max_ext: int, search: str):
     """Yield (GF(q^(2m)), embedding of src) for m = 1..max_ext, skipping the
-    fields above _UNTWIST_FIELD_LIMIT or not containing src, and append each
-    field order yielded to `tried`."""
+    fields above _UNTWIST_FIELD_LIMIT or not containing src.  A caller that
+    finds nothing sees SearchExhausted, naming both bounds and the field
+    orders tried, once the ladder runs out."""
     p, n0 = gf.prime_power_split(q)
+    tried = []
     for m in range(1, max_ext + 1):
         if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
             continue  # guard before any field gets built
@@ -401,102 +447,47 @@ def _extension_ladder(src: Field, q: int, max_ext: int, tried: list):
         emb = gf.make_embedding(src, fld)
         tried.append(fld.order)
         yield fld, emb
-
-
-def _solve_linear_congruence(a: int, b: int, n: int) -> Optional[int]:
-    """Smallest x with a x == b (mod n), or None."""
-    g = math.gcd(a, n)
-    if b % g:
-        return None
-    return (b // g) * pow(a // g, -1, n // g) % (n // g)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t
-
-
-def _solve_2x2_congruence(E, rhs, n: int):
-    """One solution (x, y) of the integer system E (x, y) == rhs (mod n), or
-    None.  Row-reduce over Z to a triangular system, then walk the finitely
-    many candidates of the second unknown's solution line."""
-    (e11, e12), (e21, e22) = E
-    r1, r2 = rhs
-    g, u, v = _xgcd(e11, e21)
-    if g == 0:
-        # first column vanishes: x is free, both rows constrain y alone
-        f11, f12, s1 = 0, e12, r1
-        f22, s2 = e22, r2
-    else:
-        f11 = g
-        f12 = u * e12 + v * e22
-        s1 = u * r1 + v * r2
-        f22 = (-e21 // g) * e12 + (e11 // g) * e22
-        s2 = (-e21 // g) * r1 + (e11 // g) * r2
-    y0 = _solve_linear_congruence(f22 % n, s2 % n, n)
-    if y0 is None:
-        return None
-    gy = math.gcd(f22 % n, n)
-    step = n // gy if gy else n
-    for k in range(gy if gy else 1):
-        y = (y0 + k * step) % n
-        x = _solve_linear_congruence(f11 % n, (s1 - f12 * y) % n, n)
-        if x is not None and (e11 * x + e12 * y - r1) % n == 0 \
-                and (e21 * x + e22 * y - r2) % n == 0:
-            return x, y
-    return None
-
-
-def _solve_two_power_equations(fld: Field, b1: int, b3: int, exps):
-    """Solve b1 l^e11 m^e12 = 1 and b3 l^e21 m^e22 = 1 in the cyclic group of
-    fld; returns (l, m) or None."""
-    n = fld.order - 1
-    rhs = ((-fld.dlog(b1)) % n, (-fld.dlog(b3)) % n)
-    sol = _solve_2x2_congruence(exps, rhs, n)
-    if sol is None:
-        return None
-    return fld.exp_gen(sol[0]), fld.exp_gen(sol[1])
+    raise SearchExhausted(
+        f"no {search} within GF(q^(2m)), m <= {max_ext}, field size <= "
+        f"2^{_UNTWIST_FIELD_LIMIT.bit_length() - 1}; field orders tried: {tried}")
 
 
 def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
     """Diagonal reparametrization g = diag(l, m) over GF(q^(2m)), m <= max_ext,
     carrying a b2-free core of the degree-q(q+1) or half-degree shape onto the
-    canonical representative.  The output is verified through act before
-    return."""
+    canonical representative.  diagonal_solutions fixes l/m = x^X up to
+    X == X0 (mod step); diag(m, m) scales every cell by m^(d(q+1)), so the
+    scalar is one more congruence, on any one cell.  The output is verified
+    through act before return."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("diagonal normalization applies to the c2/c3 shapes")
     if q < 3:
         raise OrbitError("normalization targets the q >= 3 representative")
     if not case_shape_check(B4, case, q) or B4.data[0][3] != 0:
         raise OrbitError("core must match the case shape with zero corner entry")
-    sig = case_signature(case, q)
-    d, j = sig.d, sig.j
-    exps = (diag_weight(d, 0, d, q), diag_weight(j, j, d, q))
-    rep = canonical_rep(case, q)
-    tried = []
-    for fld, emb in _extension_ladder(B4.field, q, max_ext, tried):
-        b1 = emb(B4.data[0][1])
-        b3 = emb(B4.data[1][3])
-        sol = _solve_two_power_equations(fld, b1, b3, exps)
+    e = case_signature(case, q).d * (q + 1)
+    big4 = embed_qprime(B4, case, q)
+    rep4 = embed_qprime(canonical_rep(case, q), case, q)
+    for fld, _ in _extension_ladder(B4.field, q, max_ext,
+                                    "diagonal normalization"):
+        big, target = big4.lift_to(fld), rep4.lift_to(fld)
+        sol = diagonal_solutions(big, target)
         if sol is None:
             continue
-        lam, mu = sol
-        g = Mat(fld, [[lam, 0], [0, mu]])
-        big = embed_qprime(B4, case, q).lift_to(fld)
-        target = embed_qprime(rep, case, q).lift_to(fld)
-        moved = act(big, g)
-        if proportional(moved, target) == 1:
+        x0, step = sol
+        n, k = fld.order - 1, math.gcd(e, fld.order - 1)
+        (u, w), v = next(iter(big.cells.items()))
+        a = diag_weight(u, w, big.n - 1, q)[0]
+        r = fld.dlog(fld.div(target.cells[(u, w)], v))
+        # m^e = x^(r - a X) needs r - a X == 0 (mod gcd(e, n))
+        t = _solve_linear_congruence(a * step % k, (r - a * x0) % k, k)
+        if t is None:
+            continue
+        X = x0 + step * t
+        Y = _solve_linear_congruence(e % n, (r - a * X) % n, n)
+        g = Mat(fld, [[fld.exp_gen(X + Y), 0], [0, fld.exp_gen(Y)]])
+        if proportional(act(big, g), target) == 1:
             return g
-    raise SearchExhausted(
-        f"no diagonal normalization within GF(q^(2m)), m <= {max_ext}; "
-        f"field orders tried: {tried}")
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +592,8 @@ def _untwist(M: Mat, q: int, max_ext: int):
     cycles = _signed_permutation_cycles(M)
     if cycles is None:
         raise OrbitError("target must be Hermitian or a monomial case shape")
-    tried = []
-    for fld, emb in _extension_ladder(M.field, q, max_ext, tried):
+    for fld, emb in _extension_ladder(M.field, q, max_ext,
+                                      "twisted splitting found"):
         blocks = {}
         for idx, values in cycles:
             vals = [emb(v) for v in values]
@@ -626,9 +617,6 @@ def _untwist(M: Mat, q: int, max_ext: int):
                     G.data[gr][gc] = block.data[r][c]
         if twisted_gram(G, Mat.identity(fld, n), q) == M.lift_to(fld):
             return G
-    raise SearchExhausted(
-        f"no twisted splitting found within GF(q^(2m)), m <= {max_ext}; "
-        f"field orders tried: {tried}")
 
 
 def twisted_congruence_solve(A: Mat, Mtarget: Mat, q: int,
@@ -711,14 +699,6 @@ def _normalize_projective(M: Mat) -> Mat:
             if v:
                 return M.scalar(M.field.inv(v))
     raise OrbitError("zero matrix is not projective")
-
-
-def diagonal_fixing_order(M: BigForm, n: int) -> int:
-    """How many x of a cyclic group of order n make diag(x, 1) fix M up to a
-    scalar: it scales cell (u, w) by x^a (diag_weight), so the count is
-    D = gcd(n, a - a0 over M's support).  Only M's cells are read."""
-    a = [diag_weight(u, w, M.n - 1, M.q)[0] for (u, w) in M.cells]
-    return math.gcd(n, *(x - a[0] for x in a))
 
 
 def diagonal_stabilizer(M: BigForm) -> list:

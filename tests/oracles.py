@@ -1,21 +1,40 @@
 """Brute-force scans, kept as oracles for the differential tests.
 
 The package decides the diagonal stabilizer with one gcd over the
-representative's support (orbit.diagonal_stabilizer), and smoothness from
-the gcd of the Jacobian minors (tetra.decide_smoothness).  These scans
-decide the same questions the slow way, one dense act per group element or
-one Jacobian rank per point of P^1, so the tests can check the fast paths
-on every field they can still reach.
+representative's support (orbit.diagonal_stabilizer), equivalence by one
+act per torus coset (orbit.pairwise_equivalence), and smoothness from the
+gcd of the Jacobian minors (tetra.decide_smoothness).  These scans decide
+the same questions the slow way, one dense act per group element or one
+Jacobian rank per point of P^1, so the tests can check the fast paths on
+every field they can still reach.
 """
+
+import itertools
 
 from hermitia import gf
 from hermitia.matff import Mat, MatError
-from hermitia.orbit import (StabilizerReport, _group_is_cyclic,
-                            _normalize_projective, _pgl2_elements, act,
+from hermitia.orbit import (_GL2_SCAN_LIMIT, OrbitError, StabilizerReport,
+                            _group_is_cyclic, _normalize_projective, act,
                             proportional, stab_order, star_positions, sympow)
 from hermitia.tetra import (SmoothnessReport, case_signature,
                             defining_equations, eval_equation, jacobian_rank,
                             monomial_point, normalize_point)
+
+
+def _pgl2_elements(fld):
+    """One matrix per scalar class of GL2(fld): [[1, b], [c, e]] with e != bc,
+    then [[0, 1], [c, e]] with c != 0, |F|(|F|^2 - 1) in all.  A scalar
+    lambda I multiplies every big form by lambda^(d(q+1)), so a scan up to
+    proportionality needs no other element.  Refuses before anything is
+    generated when |F|^4 exceeds the GL2 scan guard."""
+    if fld.order ** 4 > _GL2_SCAN_LIMIT:
+        raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
+                         f"> {_GL2_SCAN_LIMIT}")
+    F, mul = fld.elements(), fld.mul
+    return itertools.chain(
+        (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
+         if e != mul(b, c)),
+        (Mat(fld, [[0, 1], [c, e]]) for c in F if c for e in F))
 
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:

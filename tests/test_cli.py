@@ -186,6 +186,17 @@ def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_exhausted_build_exits_4_naming_the_field_bound():
+    """Every extension past GF(64^2) exceeds the search's field-size bound,
+    so the ladder tries one field; the reason names both bounds."""
+    proc = run_process(["build", "--q", "64", "--case", "c2", "--fermat"])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "m <= 6, field size <= 2^18; field orders tried: [4096]" in lines[0]
+
+
 def test_cli_imports_only_the_standard_library():
     """hermitia needs nothing outside the standard library.  -S leaves
     site-packages off the path, so importing an installed third-party package

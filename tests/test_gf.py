@@ -210,15 +210,6 @@ def test_dlog_roundtrip():
         assert f.dlog(f.pow(g, e)) == e % (f.order - 1)
 
 
-def test_element_json_roundtrip():
-    f = make_field(3, 2)
-    x = f.element([2, 1])
-    doc = gf.element_to_json(f, x)
-    assert doc == {"p": 3, "m": 2, "modulus": [1, 0, 1], "coeffs": [2, 1]}
-    f2, x2 = gf.element_from_json(doc)
-    assert f2 is f and x2 == x
-
-
 def test_prime_power_split():
     assert gf.prime_power_split(8) == (2, 3)
     assert gf.prime_power_split(9) == (3, 2)

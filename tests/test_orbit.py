@@ -10,17 +10,19 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
                             is_identically_zero, on_surface)
 from hermitia.classify import case_shape_check
 from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
-                            _pgl2_elements, act, aut_order, build_curve,
+                            _torus_cosets, act, aut_order, build_curve,
                             canonical_rep, case_target, count_Td, count_report,
                             diag_weight, diagonal_fixing_order,
-                            diagonal_stabilizer, embed_qprime, inflate_case1,
-                            normalize_to_rep, pairwise_equivalence,
-                            project_star, proportional, q2_lambda_member,
+                            diagonal_solutions, diagonal_stabilizer,
+                            embed_qprime, inflate_case1, normalize_to_rep,
+                            pairwise_equivalence, proportional,
+                            q2_lambda_member,
                             q2_parameter_matrices, stab_order,
                             stabilizer_search, star_positions, sympow,
                             twisted_congruence_solve)
 
-from oracles import diagonal_scan_stabilizer, full_small_stabilizer
+from oracles import (_pgl2_elements, diagonal_scan_stabilizer,
+                     full_small_stabilizer)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -146,7 +148,9 @@ def test_embed_project_roundtrip():
     M1 = canonical_rep(CASE_C1, 3)
     big = embed_qprime(M1, CASE_C1, 3)
     assert big.n == 5
-    assert project_star(big) == M1
+    pos = star_positions(CASE_C1, 3)
+    assert big.cells == {(pos[l], pos[m]): M1.data[l][m] for l in range(4)
+                         for m in range(4) if M1.data[l][m]}
 
 
 def test_embed_rejects_wrong_shape():
@@ -221,6 +225,7 @@ def test_normalize_to_rep_reports_exhaustion():
     with pytest.raises(SearchExhausted) as err:
         normalize_to_rep(B, CASE_C2, 4)
     assert "field orders tried" in str(err.value)
+    assert "field size <= 2^18" in str(err.value)
 
 
 # -- twisted congruence and builds ----------------------------------------------------
@@ -360,6 +365,62 @@ def test_pgl2_elements_one_per_scalar_class(p, m):
     assert gl2 == set(flat)
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+def test_torus_cosets_one_per_coset(p, m):
+    """|F|(|F| + 1) representatives, and every invertible g is h diag(s, t)
+    for exactly one of them."""
+    fld = gf.make_field(p, m)
+    n = fld.order
+    cosets = list(_torus_cosets(fld))
+    assert len(cosets) == n * (n + 1)
+    products = [h.mul(Mat.diagonal(fld, [s, t])).key() for h in cosets
+                for s in range(1, n) for t in range(1, n)]
+    gl2 = {Mat(fld, [[a, b], [c, e]]).key()
+           for a, b, c, e in itertools.product(range(n), repeat=4)
+           if fld.mul(a, e) != fld.mul(b, c)}
+    assert len(products) == len(set(products)) and set(products) == gl2
+
+
+def _random_form(case, q, fld, rng, cells=None):
+    """A big form with random nonzero values on `cells`, or on one to five
+    random cells of the whole (d+1)x(d+1) grid."""
+    n = case_signature(case, q).d + 1
+    if cells is None:
+        cells = rng.sample([(u, w) for u in range(n) for w in range(n)],
+                           rng.randrange(1, 6))
+    return BigForm(case, q, n, fld, {rc: rng.randrange(1, fld.order)
+                                     for rc in cells})
+
+
+@pytest.mark.parametrize("case,q,fld", [
+    (CASE_C3, 3, gf.make_field(3, 2)), (CASE_C2, 4, gf.make_field(2, 4)),
+    (CASE_C1, 7, gf.make_field(7, 2)),
+])
+def test_diagonal_solutions_matches_walk(case, q, fld):
+    """The congruence coset against the dense act over every x in F*, on
+    planted targets c act(M, diag(x0, 1)) and on unplanted ones."""
+    n = fld.order - 1
+    rng = random.Random(fld.order)
+    for _ in range(4):
+        M = _random_form(case, q, fld, rng)
+        planted = act(M, Mat.diagonal(fld, [rng.randrange(1, fld.order), 1]))
+        c = rng.randrange(1, fld.order)
+        targets = [BigForm(case, q, M.n, fld,
+                           {rc: fld.mul(c, v) for rc, v in planted.cells.items()}),
+                   _random_form(case, q, fld, rng, list(M.cells)),
+                   _random_form(case, q, fld, rng)]
+        for k, N in enumerate(targets):
+            walk = {X for X in range(n) if proportional(
+                act(M, Mat.diagonal(fld, [fld.exp_gen(X), 1])), N) is not None}
+            sol = diagonal_solutions(M, N)
+            assert (sol is not None) == bool(walk)
+            assert k > 0 or sol is not None
+            if sol is not None:
+                x0, step = sol
+                assert n % step == 0 and 0 <= x0 < step
+                assert walk == set(range(x0, n, step))
+
+
 def _gl2_equivalent_pairs(forms, fld):
     """Ordered pairs (i, j) with act(forms[i], g) proportional to forms[j]
     for some g, by walking every invertible matrix of all |F|^4."""
@@ -408,6 +469,41 @@ def test_pairwise_equivalence_matches_gl2_scan_c3_q3():
     rep = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
     forms = [rep, act(rep, _invertible(f9, random.Random(4)))]
     _assert_scan_matches_gl2(forms, f9)
+
+
+@pytest.mark.parametrize("case,q,fld", [
+    (CASE_C1, 2, gf.make_field(2, 3)), (CASE_C3, 3, gf.make_field(3, 2)),
+])
+def test_pairwise_equivalence_matches_gl2_scan_planted_nondiagonal(case, q, fld):
+    """A random form on the star positions and its image under a random g
+    that is not diagonal."""
+    rng = random.Random(fld.order)
+    pos = star_positions(case, q)
+    M = _random_form(case, q, fld, rng,
+                     [(r, c) for r in pos for c in pos if rng.random() < 0.5])
+    g = _invertible(fld, rng)
+    while g.data[0][1] == 0 and g.data[1][0] == 0:
+        g = _invertible(fld, rng)
+    _assert_scan_matches_gl2([M, act(M, g)], fld)
+
+
+@pytest.mark.parametrize("m,order", [(1, 16), (2, 720)])
+def test_c1_q3_stabilizer_through_torus_cosets(m, order):
+    """The c1 q=3 stabilizer counted as the sum over torus cosets h of the
+    (|F| - 1) / step solutions of act(M, h diag(x, 1)) ~ M: over GF(9) the
+    16 elements the full GL2 scan finds, over GF(81) all q^2(q^4 - 1)."""
+    fld = gf.gf_ext(3, m)
+    M = embed_qprime(canonical_rep(CASE_C1, 3), CASE_C1, 3).lift_to(fld)
+    count = 0
+    for h in _torus_cosets(fld):
+        sol = diagonal_solutions(act(M, h), M)
+        if sol is not None:
+            count += (fld.order - 1) // sol[1]
+    assert count == order
+    if m == 1:
+        assert count == len(full_small_stabilizer(M))
+    else:
+        assert count == stab_order(CASE_C1, 3)
 
 
 def test_equivalence_scan_field_guard():
