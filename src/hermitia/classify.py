@@ -14,6 +14,7 @@ of 5 values per variable decides identical vanishing).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -313,12 +314,13 @@ def default_d_max(q: int) -> int:
 
 
 def canonical_signatures_upto(d_max: int):
+    """The fixed points of canonical_signature with d <= d_max: (d, i, j) is
+    canonical exactly when gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i)."""
     for d in range(3, d_max + 1):
         for i in range(1, d - 1):
             for j in range(i + 1, d):
-                sig = Signature(d, i, j)
-                if canonical_signature(d, i, j) == sig:
-                    yield sig
+                if (i, j) <= (d - j, d - i) and math.gcd(d, i, j) == 1:
+                    yield Signature(d, i, j)
 
 
 def enumerate_admissible(q: int, d_max: Optional[int] = None) -> ClassificationReport:

@@ -5,19 +5,17 @@ path and search path) and reported side by side with a match flag; a
 mismatch is surfaced through exit code 2, never reconciled silently.
 
 Exit codes: 0 success and consistent, 2 inconsistent finding, 3 invalid
-input, 4 search bound exhausted.
+input, 4 search bound exhausted.  main returns each one: the handler's
+verdict, or 3 or 4 for the error it raised, with a one-line reason on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import gf
 from .matff import Mat, MatError, SurfaceSpec, fermat_surface
@@ -36,25 +34,9 @@ EXIT_EXHAUSTED = 4
 
 
 class InputError(ValueError):
-    """A file named on the command line that cannot be read or written, or
-    does not hold what it should."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    q: int = 0
-    case: Optional[str] = None
-    d_max: Optional[int] = None
-    max_ext: int = 6
-    seed: int = 1
-    fmt: str = "json"
-    out: Optional[str] = None
-    surface_path: Optional[str] = None
-    fermat: bool = False
-    lambdas_path: Optional[str] = None
-    scan: bool = False
-    samples: int = 10 ** 4
+    """Command-line input the CLI refuses itself: a q the subcommand cannot
+    take, or a file that cannot be read or written or does not hold what it
+    should."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,13 +119,12 @@ def _flatten(doc, prefix=""):
 
 
 def _check_prime_power(q: int) -> None:
+    # classify and count leave this to the package, which gives the same reason
     if not gf.is_prime_power(q):
-        print(f"q={q} is not a prime power", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InputError(f"q={q} is not a prime power")
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    _check_prime_power(cfg.q)
+def cmd_classify(cfg: argparse.Namespace) -> int:
     report = enumerate_admissible(cfg.q, cfg.d_max)
     doc = report.to_json()
     doc["predicted"] = [list(s.astuple())
@@ -152,8 +133,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK if report.matches_prediction else EXIT_INCONSISTENT
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    _check_prime_power(cfg.q)
+def cmd_count(cfg: argparse.Namespace) -> int:
     report = count_report(cfg.q)
     _emit(report.to_json(), cfg)
     return EXIT_OK
@@ -172,29 +152,23 @@ def _read_json(path: str, parse, what: str):
                          f"{type(exc).__name__}: {exc}") from None
 
 
-def _load_surface(cfg: RunConfig) -> SurfaceSpec:
+def _load_surface(cfg: argparse.Namespace) -> SurfaceSpec:
     if cfg.fermat:
         return fermat_surface(cfg.q)
     gram = _read_json(cfg.surface_path, Mat.from_json, "surface file")
     surf = SurfaceSpec(cfg.q, gram)
     if not surf.hermitian:
-        print("surface matrix is not Hermitian for this q", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InputError("surface matrix is not Hermitian for this q")
     if not surf.smooth:
-        print("surface matrix is singular", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InputError("surface matrix is singular")
     return surf
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def cmd_build(cfg: argparse.Namespace) -> int:
     _check_prime_power(cfg.q)
     case_signature(cfg.case, cfg.q)  # parity check before reading the surface
     surf = _load_surface(cfg)
-    try:
-        curve = build_curve(cfg.case, cfg.q, surf, max_ext=cfg.max_ext)
-    except SearchExhausted as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_EXHAUSTED
+    curve = build_curve(cfg.case, cfg.q, surf, max_ext=cfg.max_ext)
     scan = smoothness_scan(cfg.case, cfg.q, gf.gf_ext(cfg.q, 2))
     doc = {
         "curve": curve.to_json(),
@@ -206,11 +180,10 @@ def cmd_build(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stabilizer(cfg: RunConfig) -> int:
+def cmd_stabilizer(cfg: argparse.Namespace) -> int:
     _check_prime_power(cfg.q)
     if cfg.q < 3:
-        print(f"stabilizer scans need q >= 3, got q={cfg.q}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InputError(f"stabilizer scans need q >= 3, got q={cfg.q}")
     report = stabilizer_search(cfg.case, cfg.q, samples=cfg.samples,
                                seed=cfg.seed)
     _emit(report.to_json(), cfg)
@@ -219,7 +192,7 @@ def cmd_stabilizer(cfg: RunConfig) -> int:
     return EXIT_OK if report.matches_prediction else EXIT_INCONSISTENT
 
 
-def cmd_reps_q2(cfg: RunConfig) -> int:
+def cmd_reps_q2(cfg: argparse.Namespace) -> int:
     fld4 = gf.gfq2(2)
     members = []
     for k, params in enumerate(q2_parameter_matrices()):
@@ -236,30 +209,20 @@ def cmd_reps_q2(cfg: RunConfig) -> int:
     search = gf.make_field(2, 4)
     verdicts = pairwise_equivalence(forms, search)
     n = len(forms)
-    matrix = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                matrix[i][j] = verdicts[(i, j)] is not None
+    matrix = [[None if i == j else verdicts[(i, j)] is not None
+               for j in range(n)] for i in range(n)]
     doc = {
         "search_field": gf.field_to_json(search),
         "members": [name for name, _ in members],
         "equivalent": matrix,
-        "all_pairwise_inequivalent": all(
-            not matrix[i][j] for i in range(n) for j in range(n) if i != j),
+        "all_pairwise_inequivalent": not any(any(row) for row in matrix),
     }
     _emit(doc, cfg)
     return EXIT_OK if doc["all_pairwise_inequivalent"] else EXIT_INCONSISTENT
 
 
-def _to_config(ns) -> RunConfig:
-    kwargs = {f.name: getattr(ns, f.name) for f in dataclasses.fields(RunConfig)
-              if hasattr(ns, f.name)}
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
-    cfg = _to_config(_build_parser().parse_args(argv))
+    cfg = _build_parser().parse_args(argv)
     handlers = {
         "classify": cmd_classify,
         "count": cmd_count,
@@ -274,6 +237,9 @@ def main(argv=None) -> int:
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise InputError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
         return handlers[cfg.subcommand](cfg)
+    except SearchExhausted as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_EXHAUSTED
     except (MatError, OrbitError, SignatureError, ClassifyError, gf.FieldError,
             InputError) as exc:
         print(str(exc), file=sys.stderr)

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over finite fields, plus the constructive
 splitting of an invertible Hermitian matrix A into t(B) B^(q).
 
-Matrices are small (4x4 up to ~21x21) and exact, so everything is plain
-Gaussian elimination and division-free Laplace expansion; no floating point
-anywhere.
+Matrices are small (4x4 up to ~21x21) and exact: det is division-free
+Laplace expansion and covers n <= 4 only, rank and inverse are plain Gaussian
+elimination; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ class Mat:
             out.append(orow)
         return Mat(f, out)
 
-    def _entrywise(self, other: "Mat", op) -> "Mat":
-        if self.field is not other.field:
-            raise MatError("field mismatch")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatError("shape mismatch")
-        return Mat(self.field, [[op(a, b) for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.data, other.data)])
-
-    def add(self, other: "Mat") -> "Mat":
-        return self._entrywise(other, self.field.add)
-
-    def sub(self, other: "Mat") -> "Mat":
-        return self._entrywise(other, self.field.sub)
-
     def scalar(self, c: int) -> "Mat":
         f = self.field
         return Mat(f, [[f.mul(c, a) for a in r] for r in self.data])
@@ -117,9 +103,9 @@ class Mat:
         if self.rows != self.cols:
             raise MatError("det of non-square matrix")
         n = self.rows
-        if n <= 4:
-            return self._det_laplace(list(range(n)), list(range(n)))
-        return self._det_eliminate()
+        if n > 4:
+            raise MatError(f"det covers n <= 4, got {n}x{n}")
+        return self._det_laplace(list(range(n)), list(range(n)))
 
     def _det_laplace(self, rows, cols) -> int:
         # division-free cofactor expansion, fine for n <= 4
@@ -137,26 +123,6 @@ class Mat:
             term = f.mul(a, minor)
             total = f.add(total, term if k % 2 == 0 else f.neg(term))
         return total
-
-    def _det_eliminate(self) -> int:
-        f = self.field
-        a = [row[:] for row in self.data]
-        n = self.rows
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = f.neg(det)
-            det = f.mul(det, a[col][col])
-            inv = f.inv(a[col][col])
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = f.mul(a[r][col], inv)
-                    a[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[r], a[col])]
-        return det
 
     def rank(self) -> int:
         f = self.field

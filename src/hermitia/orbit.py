@@ -29,7 +29,7 @@ from .classify import case1_shape, case23_shape, case_shape_check
 INFINITE = "infinite"
 
 _UNTWIST_FIELD_LIMIT = 1 << 18  # largest field scanned by the congruence search
-_GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for exhaustive (P)GL2 scans
+_COSET_SCAN_LIMIT = 10 ** 5     # most torus cosets an equivalence scan walks
 
 
 class SearchExhausted(RuntimeError):
@@ -351,10 +351,11 @@ def _torus_cosets(fld: Field):
     of (1 : 0) and (0 : 1): [[1, y], [x, 1]] with xy != 1, [[0, 1], [1, y]],
     and [[1, 1], [x, 0]] with x != 0, |F|(|F| + 1) in all.  Every invertible
     g is h diag(s, t) for exactly one of them.  Refuses before anything is
-    generated when |F|^4 exceeds the GL2 scan guard."""
-    if fld.order ** 4 > _GL2_SCAN_LIMIT:
-        raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
-                         f"> {_GL2_SCAN_LIMIT}")
+    generated when there are more than _COSET_SCAN_LIMIT of them."""
+    count = fld.order * (fld.order + 1)
+    if count > _COSET_SCAN_LIMIT:
+        raise OrbitError(f"GL2 scan over {fld} refused: |F|(|F| + 1) = {count} "
+                         f"torus cosets > {_COSET_SCAN_LIMIT}")
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
         (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F if mul(x, y) != 1),
@@ -693,14 +694,6 @@ class StabilizerReport:
         }
 
 
-def _normalize_projective(M: Mat) -> Mat:
-    for row in M.data:
-        for v in row:
-            if v:
-                return M.scalar(M.field.inv(v))
-    raise OrbitError("zero matrix is not projective")
-
-
 def diagonal_stabilizer(M: BigForm) -> list:
     """Sorted projective stars diag(1, x^-i, x^-j, x^-d) of every diag(x, 1)
     over M's field fixing M up to a scalar: the x of order dividing
@@ -716,22 +709,26 @@ def diagonal_stabilizer(M: BigForm) -> list:
     return [elements[k] for k in sorted(elements)]
 
 
-def _group_is_cyclic(elements) -> bool:
-    """Whether some element's projective order equals the group order."""
-    order = len(elements)
-    if order <= 1:
-        return True
-    ident = Mat.identity(elements[0].field, 4)
-    for e in elements:
-        k, cur = 1, e
-        while cur != ident:
-            cur = _normalize_projective(cur.mul(e))
-            k += 1
-            if k > order:
-                return False  # not closed; caller has bigger problems
-        if k == order:
-            return True
-    return False
+def diagonal_generator(M: BigForm) -> Mat:
+    """The star diag(1, x^-i step, x^-j step, x^-d step) of diag(x^step, 1),
+    step = |F*| / diagonal_fixing_order: every element of
+    diagonal_stabilizer(M) is one of its powers."""
+    f = M.field
+    n = f.order - 1
+    step = n // diagonal_fixing_order(M, n)
+    return Mat.diagonal(f, [f.exp_gen(-step * k % n)
+                            for k in star_positions(M.case, M.q)])
+
+
+def star_order(star: Mat) -> int:
+    """Length of the walk over the powers of a diagonal star with leading
+    entry 1 back to the identity: its projective order."""
+    ident = Mat.identity(star.field, star.rows)
+    k, cur = 1, star
+    while cur != ident:
+        cur = cur.mul(star)
+        k += 1
+    return k
 
 
 def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
@@ -740,8 +737,9 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
     representative M, against the closed-form order.  The diagonal part is
     exact over GF(q^6), which holds every diagonal solution ratio: one gcd
     over M's support decides it (diagonal_stabilizer), and the order counts
-    distinct projective stars.  Sampled non-diagonal g check that no further
-    solutions hide off the diagonal."""
+    distinct projective stars.  The group is cyclic when the powers of
+    diagonal_generator are that many.  Sampled non-diagonal g check that no
+    further solutions hide off the diagonal."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
     if samples < 0:
@@ -762,6 +760,6 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
         g = Mat(fld, [[a, b], [c, e]])
         if proportional(act(big, g), big) is not None:
             hits += 1
-    return StabilizerReport(case, q, fld, elems, len(elems),
-                            _group_is_cyclic(elems), stab_order(case, q),
-                            samples, hits)
+    cyclic = star_order(diagonal_generator(big)) == len(elems)
+    return StabilizerReport(case, q, fld, elems, len(elems), cyclic,
+                            stab_order(case, q), samples, hits)

@@ -91,21 +91,10 @@ def exponent_matrix(sig: Signature, q: int):
     return [[e[l] + q * e[m] for m in range(4)] for l in range(4)]
 
 
-@dataclass
-class SparseForm:
-    """A binary form of degree (q+1)d, stored as {t-exponent: coefficient};
-    the s-exponent is determined.  Zero coefficients are absent."""
-    degree: int
-    coeffs: dict
-    field: Field
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def expand_form(sig: Signature, q: int, B: Mat) -> SparseForm:
-    """Group the 16 monomials of t(v) B v^(q) by t-exponent and sum the
-    coefficients.  Exact and symbolic."""
+def expand_form(sig: Signature, q: int, B: Mat) -> dict:
+    """The binary form t(v) B v^(q) of degree (q+1)d as {t-exponent:
+    coefficient}, the 16 monomials grouped by t-exponent; the s-exponent is
+    determined and zero coefficients are absent.  Exact and symbolic."""
     if B.rows != 4 or B.cols != 4:
         raise MatError("form matrix must be 4x4")
     f = B.field
@@ -117,11 +106,11 @@ def expand_form(sig: Signature, q: int, B: Mat) -> SparseForm:
             if b:
                 e = E[l][m]
                 coeffs[e] = f.add(coeffs.get(e, 0), b)
-    return SparseForm((q + 1) * sig.d, {e: c for e, c in coeffs.items() if c}, f)
+    return {e: c for e, c in coeffs.items() if c}
 
 
 def is_identically_zero(sig: Signature, q: int, B: Mat) -> bool:
-    return expand_form(sig, q, B).is_zero()
+    return not expand_form(sig, q, B)
 
 
 # ---------------------------------------------------------------------------

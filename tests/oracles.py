@@ -1,24 +1,26 @@
 """Brute-force scans, kept as oracles for the differential tests.
 
 The package decides the diagonal stabilizer with one gcd over the
-representative's support (orbit.diagonal_stabilizer), equivalence by one
-act per torus coset (orbit.pairwise_equivalence), and smoothness from the
-gcd of the Jacobian minors (tetra.decide_smoothness).  These scans decide
-the same questions the slow way, one dense act per group element or one
-Jacobian rank per point of P^1, so the tests can check the fast paths on
-every field they can still reach.
+representative's support (orbit.diagonal_stabilizer) and its cyclicity by
+the order of one generator (orbit.star_order), equivalence by one act per
+torus coset (orbit.pairwise_equivalence), and smoothness from the gcd of
+the Jacobian minors (tetra.decide_smoothness).  These scans decide the same
+questions the slow way, one dense act or power walk per group element or
+one Jacobian rank per point of P^1, so the tests can check the fast paths
+on every field they can still reach.
 """
 
 import itertools
 
 from hermitia import gf
 from hermitia.matff import Mat, MatError
-from hermitia.orbit import (_GL2_SCAN_LIMIT, OrbitError, StabilizerReport,
-                            _group_is_cyclic, _normalize_projective, act,
-                            proportional, stab_order, star_positions, sympow)
+from hermitia.orbit import (OrbitError, StabilizerReport, act, proportional,
+                            stab_order, star_positions, sympow)
 from hermitia.tetra import (SmoothnessReport, case_signature,
                             defining_equations, eval_equation, jacobian_rank,
                             monomial_point, normalize_point)
+
+_GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for the exhaustive PGL2 scan
 
 
 def _pgl2_elements(fld):
@@ -35,6 +37,33 @@ def _pgl2_elements(fld):
         (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
          if e != mul(b, c)),
         (Mat(fld, [[0, 1], [c, e]]) for c in F if c for e in F))
+
+
+def _normalize_projective(M: Mat) -> Mat:
+    for row in M.data:
+        for v in row:
+            if v:
+                return M.scalar(M.field.inv(v))
+    raise OrbitError("zero matrix is not projective")
+
+
+def _group_is_cyclic(elements) -> bool:
+    """Whether some element's projective order equals the group order, by
+    walking the powers of every element in turn."""
+    order = len(elements)
+    if order <= 1:
+        return True
+    ident = Mat.identity(elements[0].field, 4)
+    for e in elements:
+        k, cur = 1, e
+        while cur != ident:
+            cur = _normalize_projective(cur.mul(e))
+            k += 1
+            if k > order:
+                return False  # not closed; caller has bigger problems
+        if k == order:
+            return True
+    return False
 
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:

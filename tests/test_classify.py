@@ -3,11 +3,12 @@ import pytest
 from hermitia import gf
 from hermitia.matff import mat_from_ints
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
-                            is_identically_zero)
-from hermitia.classify import (ClassifyError, case_shape_basis,
-                               case_shape_check, enumerate_admissible,
-                               exists_invertible, expected_cases,
-                               predicted_signatures, solution_space)
+                            canonical_signature, is_identically_zero)
+from hermitia.classify import (ClassifyError, canonical_signatures_upto,
+                               case_shape_basis, case_shape_check,
+                               enumerate_admissible, exists_invertible,
+                               expected_cases, predicted_signatures,
+                               solution_space)
 
 
 def test_solution_space_dims():
@@ -131,3 +132,13 @@ def test_enumerate_validates_inputs():
     with pytest.raises(ClassifyError):
         enumerate_admissible(3, 2)
 
+
+
+def test_canonical_predicate_matches_canonical_signature_fixed_points():
+    """The gcd-and-flip predicate against canonical_signature itself, over
+    every triple with d <= 60."""
+    fixed = [Signature(d, i, j) for d in range(3, 61) for i in range(1, d - 1)
+             for j in range(i + 1, d)
+             if canonical_signature(d, i, j) == Signature(d, i, j)]
+    assert len(fixed) == 14713
+    assert list(canonical_signatures_upto(60)) == fixed

@@ -58,9 +58,8 @@ def test_count_tsv_format(capsys):
 
 
 def test_count_rejects_non_prime_power(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["count", "--q", "6"], capsys)
-    assert err.value.code == 3
+    assert exit_code(["count", "--q", "6"]) == 3
+    assert capsys.readouterr().err == "q=6 is not a prime power\n"
 
 
 def test_classify_q3(capsys):
@@ -116,9 +115,9 @@ def test_build_rejects_non_hermitian_surface(tmp_path, capsys):
     bad = Mat.diagonal(f9, [u, 1, 1, 1])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad.to_json()))
-    with pytest.raises(SystemExit) as err:
-        run(["build", "--q", "3", "--case", "c1", "--surface", str(path)], capsys)
-    assert err.value.code == 3
+    assert exit_code(["build", "--q", "3", "--case", "c1",
+                      "--surface", str(path)]) == 3
+    assert capsys.readouterr().err == "surface matrix is not Hermitian for this q\n"
 
 
 def test_build_parity_error(capsys):

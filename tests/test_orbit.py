@@ -13,16 +13,16 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             _torus_cosets, act, aut_order, build_curve,
                             canonical_rep, case_target, count_Td, count_report,
                             diag_weight, diagonal_fixing_order,
-                            diagonal_solutions, diagonal_stabilizer,
-                            embed_qprime, inflate_case1, normalize_to_rep,
-                            pairwise_equivalence, proportional,
+                            diagonal_generator, diagonal_solutions,
+                            diagonal_stabilizer, embed_qprime, inflate_case1,
+                            normalize_to_rep, pairwise_equivalence, proportional,
                             q2_lambda_member,
                             q2_parameter_matrices, stab_order,
-                            stabilizer_search, star_positions, sympow,
-                            twisted_congruence_solve)
+                            stabilizer_search, star_order, star_positions,
+                            sympow, twisted_congruence_solve)
 
-from oracles import (_pgl2_elements, diagonal_scan_stabilizer,
-                     full_small_stabilizer)
+from oracles import (_group_is_cyclic, _pgl2_elements,
+                     diagonal_scan_stabilizer, full_small_stabilizer)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -381,6 +381,17 @@ def test_torus_cosets_one_per_coset(p, m):
     assert len(products) == len(set(products)) and set(products) == gl2
 
 
+def test_torus_cosets_cover_gf256():
+    assert sum(1 for _ in _torus_cosets(gf.make_field(2, 8))) == 256 * 257
+
+
+def test_torus_cosets_refuse_gf512_before_generating():
+    """The guard counts the |F|(|F| + 1) representatives and raises on the
+    call itself, not on the first element drawn."""
+    with pytest.raises(OrbitError, match=r"\(\|F\| \+ 1\) = 262656 torus cosets"):
+        _torus_cosets(gf.make_field(2, 9))
+
+
 def _random_form(case, q, fld, rng, cells=None):
     """A big form with random nonzero values on `cells`, or on one to five
     random cells of the whole (d+1)x(d+1) grid."""
@@ -561,6 +572,25 @@ def test_stabilizer_c2_q4_matches_prediction():
     assert rep.predicted_order == 65
     assert rep.matches_prediction
     assert rep.nondiagonal_hits == 0
+
+
+@pytest.mark.parametrize("case,q", [
+    (CASE_C3, 3), (CASE_C3, 5), (CASE_C3, 7), (CASE_C2, 4),
+])
+def test_generator_order_certificate_matches_power_walk_oracle(case, q):
+    """The order of the one generator star against the oracle that walks
+    the powers of every element; a planted non-generator, the generator's
+    square, fails the certificate whenever the order is even."""
+    rep = stabilizer_search(case, q, samples=0)
+    big = embed_qprime(canonical_rep(case, q), case, q).lift_to(rep.field)
+    gen = diagonal_generator(big)
+    assert gen.key() in {e.key() for e in rep.elements}
+    assert rep.cyclic == _group_is_cyclic(rep.elements)
+    assert rep.cyclic and star_order(gen) == rep.order
+    if rep.order % 2 == 0:
+        square = gen.mul(gen)
+        assert star_order(square) == rep.order // 2
+        assert star_order(square) != len(rep.elements)
 
 
 @pytest.mark.parametrize("case,q,m", [

@@ -87,9 +87,9 @@ def test_expansion_groups_colliding_cells():
     # q=2, (3,1,2): cells (0,1) and (2,0) share exponent 2
     f = gf.gfq2(2)
     B = random_mat(f, 4, 4, random.Random(3))
-    sf = expand_form(Signature(3, 1, 2), 2, B)
+    coeffs = expand_form(Signature(3, 1, 2), 2, B)
     expected = f.add(B.data[0][1], B.data[2][0])
-    assert sf.coeffs.get(2, 0) == expected
+    assert coeffs.get(2, 0) == expected
 
 
 def test_identity_form_is_not_zero():
