@@ -5,7 +5,7 @@ Hermitian surfaces: verification, classification, construction and counting.
 from .gf import Field, Embedding, make_field, gfq2, gf_ext, make_embedding, \
     solve_norm, is_prime_power
 from .matff import Mat, SurfaceSpec, fermat_surface, hermitian_decompose, \
-    is_hermitian, twisted_gram, random_hermitian_invertible, random_invertible
+    is_hermitian, twisted_gram
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                     canonical_signature, case_signature, defining_equations,
                     exponent_matrix, expand_form, is_identically_zero,

@@ -285,8 +285,8 @@ class ClassificationReport:
     def matches_prediction(self) -> bool:
         if any(e.case == "unexpected" for e in self.admissible):
             return False
-        predicted = {s for s, _ in _predicted_with_case(self.q, self.d_max)}
-        return set(self.signatures()) == predicted
+        predicted = predicted_signatures(self.q, self.d_max)
+        return set(self.signatures()) == set(predicted)
 
     def to_json(self) -> dict:
         return {"q": self.q, "d_max": self.d_max,
@@ -295,17 +295,10 @@ class ClassificationReport:
                 "stats": self.stats}
 
 
-def _predicted_with_case(q: int, d_max: int):
-    out = []
-    for canon, (roman, case, label, _) in expected_cases(q).items():
-        if label.d <= d_max:
-            out.append((canon, roman))
-    return out
-
-
 def predicted_signatures(q: int, d_max: int):
     """Canonical signatures the admissible set is expected to equal."""
-    return sorted(s for s, _ in _predicted_with_case(q, d_max))
+    return sorted(canon for canon, (_, _, label, _) in expected_cases(q).items()
+                  if label.d <= d_max)
 
 
 def default_d_max(q: int) -> int:

@@ -55,7 +55,6 @@ def _build_parser() -> _Parser:
     def common(sp, q=True):
         if q:
             sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--format", dest="fmt", choices=("json", "tsv"),
                         default="json")
         sp.add_argument("--out", default=None)
@@ -78,7 +77,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("stabilizer", help="exact diagonal stabilizer")
     sp.add_argument("--case", required=True, choices=("c2", "c3"))
     sp.add_argument("--samples", type=int, default=10 ** 4)
-    common(sp)
+    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=1)  # draws the --samples
+    common(sp, q=False)
 
     sp = sub.add_parser("reps-q2", help="q=2 representative inequivalence matrix")
     grp = sp.add_mutually_exclusive_group(required=True)

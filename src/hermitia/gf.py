@@ -24,6 +24,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import poly
+
 TABLE_LIMIT = 1 << 20  # build exp/log/Zech tables up to this field size
 
 
@@ -87,62 +89,11 @@ def _factorize(n: int):
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients as tuples low-to-high
-# ---------------------------------------------------------------------------
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mulmod(a, b, mod, p):
-    if not a or not b:
-        return ()
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod_rem(prod, mod, p)
-
-
-def _poly_divmod_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            f = (c * inv_lead) % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    return _poly_trim(a[:dm])
-
-
-def _poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = _poly_divmod_rem(list(a), mod, p) if len(a) >= len(mod) else _poly_trim(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod_rem(a, b, p)
-    return a
-
-
 def is_irreducible(modulus, p: int) -> bool:
-    """Deterministic irreducibility test over GF(p) for a monic polynomial."""
-    mod = _poly_trim(modulus)
+    """Deterministic irreducibility test over GF(p) for a monic polynomial:
+    f of degree m divides x^(p^m) - x and is coprime to x^(p^(m/r)) - x
+    for every prime r dividing m."""
+    mod = poly.trim(modulus)
     m = len(mod) - 1
     if m < 1 or mod[-1] != 1:
         return False
@@ -152,19 +103,10 @@ def is_irreducible(modulus, p: int) -> bool:
         return False  # divisible by x
     if sum(mod) % p == 0:
         return False  # root at 1
-    x = (0, 1)
-    # x^(p^m) == x mod f, and x^(p^(m/r)) - x coprime to f for prime r | m
-    xp = _poly_powmod(x, p ** m, mod, p)
-    if xp != _poly_trim(x):
+    if poly.gcd_xn_minus_x(mod, p ** m, p) != mod:
         return False
-    for r in set(_factorize(m)):
-        xe = _poly_powmod(x, p ** (m // r), mod, p)
-        diff = list(xe) + [0] * (2 - len(xe))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(diff, mod, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    return all(len(poly.gcd_xn_minus_x(mod, p ** (m // r), p)) == 1
+               for r in set(_factorize(m)))
 
 
 @lru_cache(maxsize=None)
@@ -305,6 +247,8 @@ class Field:
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
             raise FieldError(f"{len(coeffs)} coefficients for an element of {self}")
+        if not all(isinstance(c, int) for c in coeffs):
+            raise FieldError(f"element coefficients {coeffs} are not all integers")
         v = 0
         for c in reversed(coeffs):
             v = v * self.p + (c % self.p)
@@ -356,7 +300,7 @@ class Field:
                 if x & top:
                     x ^= mask
             return r
-        rem = _poly_mulmod(self.coeffs(x), self.coeffs(y), self.modulus, p)
+        rem = poly.mulmod(self.coeffs(x), self.coeffs(y), self.modulus, p)
         v = 0
         for c in reversed(rem):
             v = v * p + c
@@ -490,6 +434,8 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     if modulus is None:
         modulus = default_modulus(p, m)
     else:
+        if not all(isinstance(c, int) for c in modulus):
+            raise FieldError(f"modulus {list(modulus)} has a non-integer coefficient")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree m")
@@ -523,12 +469,8 @@ class Embedding:
     image_of_generator: int
 
     def __call__(self, x: int) -> int:
-        dst = self.dst
-        img = self.image_of_generator
-        out = 0
-        for c in reversed(self.src.coeffs(x)):
-            out = dst.add(dst.mul(out, img), c)
-        return out
+        return poly.evaluate(self.src.coeffs(x), self.image_of_generator,
+                             self.dst)
 
 
 @lru_cache(maxsize=None)
@@ -542,10 +484,7 @@ def _embedding_cache(src_key, dst_key) -> Embedding:
     idx = (dst.order - 1) // (src.order - 1)
     candidates = sorted(dst.exp_gen(t * idx) for t in range(src.order - 1))
     for r in candidates:
-        acc = 0
-        for c in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, r), c)
-        if acc == 0:
+        if not poly.evaluate(src.modulus, r, dst):
             return Embedding(src, dst, r)
     raise FieldError("no root of src modulus found in dst")  # impossible
 

@@ -8,7 +8,6 @@ elimination; no floating point anywhere.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import gf
@@ -198,17 +197,6 @@ class Mat:
         return cls(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
 
 
-def mat_from_ints(field: Field, rows) -> Mat:
-    """Build a matrix from integer literals; negatives map through field.neg."""
-    out = []
-    for row in rows:
-        orow = []
-        for v in row:
-            orow.append(field.neg((-v) % field.p) if v < 0 else v % field.p)
-        out.append(orow)
-    return Mat(field, out)
-
-
 # ---------------------------------------------------------------------------
 # twisted congruence and Hermitian structure
 # ---------------------------------------------------------------------------
@@ -252,9 +240,17 @@ def hermitian_decompose(A: Mat, q: int) -> Mat:
     """B over GF(q^2) with t(B) B^(q) = A, for invertible Hermitian A.
 
     Sesquilinear Gram-Schmidt: pick an anisotropic vector (basis vectors
-    first, then e_i + c e_j in packed order; nondegeneracy guarantees one),
-    split off its orthogonal complement, recurse to a diagonal form with
-    entries in GF(q)*, then scale by norm-equation solutions.
+    v_k first, then v_a + c v_b for a < b and c != 0 in packed order;
+    nondegeneracy guarantees one), project the basis onto its orthogonal
+    complement, recurse to a diagonal form with entries in GF(q)*, then
+    scale by norm-equation solutions.
+
+    Lemma: the projections of the basis satisfy exactly one linear
+    relation, proj(v_a) = 0 for the pivot v_a, or proj(v_a) + c proj(v_b)
+    = 0 for the pivot v_a + c v_b.  (A relation sum c_k proj(v_k) = 0 puts
+    sum c_k v_k in the pivot's span, and the basis is independent.)  So
+    dropping the projection of v_a, respectively v_b, leaves a basis of
+    the complement, the same one an in-order rank filter would keep.
     """
     n = A.rows
     f = A.field
@@ -266,37 +262,19 @@ def hermitian_decompose(A: Mat, q: int) -> Mat:
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ortho = []
     while basis:
-        pivot = None
-        for v in basis:
-            if _form_value(A, v, v, q):
-                pivot = v
-                break
-        if pivot is None:
-            for a_idx in range(len(basis)):
-                for b_idx in range(a_idx + 1, len(basis)):
-                    for c in range(1, f.order):
-                        v = [f.add(x, f.mul(c, y))
-                             for x, y in zip(basis[a_idx], basis[b_idx])]
-                        if _form_value(A, v, v, q):
-                            pivot = v
-                            break
-                    if pivot:
-                        break
-                if pivot:
-                    break
+        pivot, drop = next(((v, k) for v, k in _pivot_candidates(f, basis)
+                            if _form_value(A, v, v, q)), (None, None))
         if pivot is None:
             raise MatError("no anisotropic vector found (degenerate form)")
         d = _form_value(A, pivot, pivot, q)
         ortho.append((pivot, d))
         d_inv = f.inv(d)
-        new_basis = []
-        for v in basis:
-            c = f.mul(_form_value(A, v, pivot, q), d_inv)
-            w = [f.sub(x, f.mul(c, y)) for x, y in zip(v, pivot)]
-            if any(w):
-                new_basis.append(w)
-        # keep a maximal independent subset of the projected vectors
-        basis = _independent_subset(f, new_basis, n - len(ortho))
+        projected = []
+        for k, v in enumerate(basis):
+            if k != drop:
+                c = f.mul(_form_value(A, v, pivot, q), d_inv)
+                projected.append([f.sub(x, f.mul(c, y)) for x, y in zip(v, pivot)])
+        basis = projected
 
     P = Mat(f, list(zip(*[v for v, _ in ortho])))  # columns are the new basis
     diag = [d for _, d in ortho]
@@ -308,44 +286,15 @@ def hermitian_decompose(A: Mat, q: int) -> Mat:
     return B
 
 
-def _independent_subset(f: Field, vectors, want: int):
-    picked = []
-    m = []
-    for v in vectors:
-        trial = m + [v]
-        if Mat(f, trial).rank() == len(trial):
-            picked.append(v)
-            m = trial
-            if len(picked) == want:
-                break
-    return picked
-
-
-# ---------------------------------------------------------------------------
-# seeded random matrices (test data)
-# ---------------------------------------------------------------------------
-
-def random_mat(field: Field, rows: int, cols: int, rng: random.Random) -> Mat:
-    return Mat(field, [[rng.randrange(field.order) for _ in range(cols)]
-                       for _ in range(rows)])
-
-
-def random_invertible(field: Field, n: int, seed: int) -> Mat:
-    rng = random.Random(seed)
-    while True:
-        m = random_mat(field, n, n, rng)
-        if m.det() != 0:
-            return m
-
-
-def random_hermitian_invertible(q: int, n: int, seed: int) -> Mat:
-    """t(C) C^(q) for a seeded random invertible C over GF(q^2); always
-    Hermitian and invertible."""
-    field = gf.gfq2(q)
-    C = random_invertible(field, n, seed)
-    A = twisted_gram(C, Mat.identity(field, n), q)
-    assert is_hermitian(A, q)
-    return A
+def _pivot_candidates(f: Field, basis):
+    """(vector, index of the basis vector its projection drops) in search
+    order: each v_k with k, then v_a + c v_b with b."""
+    for k, v in enumerate(basis):
+        yield v, k
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            for c in range(1, f.order):
+                yield [f.add(x, f.mul(c, y)) for x, y in zip(basis[a], basis[b])], b
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gf
+from . import gf, poly
 from .gf import Field
 from .matff import Mat, MatError, SurfaceSpec, twisted_gram
 
@@ -326,40 +326,14 @@ def minor_gcd(minors, p: int):
     vanishes identically.  Its roots are the parameters (1 : x), x != 0,
     where the rank drops.  Lowest degree first, so a minor with a single
     term ends the search at once."""
-    polys = sorted(({k - min(form): c for k, c in form.items()}
-                    for _, form in minors if form), key=max)
+    polys = sorted(([form.get(k, 0) for k in range(min(form), max(form) + 1)]
+                    for _, form in minors if form), key=len)
     g = ()
-    for poly in polys:
-        dense = [0] * (max(poly) + 1)
-        for k, c in poly.items():
-            dense[k] = c
-        g = gf._poly_gcd(g, dense, p)
+    for c in polys:
+        g = poly.gcd(g, c, p)
         if len(g) == 1:
             break
     return g
-
-
-def _roots_in(g, field: Field):
-    """The nonzero roots in the field of a polynomial over GF(p) (low to
-    high; () is the zero polynomial), through h = gcd(g, x^order - x)."""
-    if not g:
-        return list(range(1, field.order))
-    if len(g) == 1:
-        return []
-    p = field.p
-    xq = list(gf._poly_powmod((0, 1), field.order, g, p)) + [0, 0]
-    xq[1] = (xq[1] - 1) % p
-    h = gf._poly_gcd(g, xq, p)
-    if len(h) == 1:
-        return []
-    roots = []
-    for r in range(1, field.order):
-        acc = 0
-        for c in reversed(h):
-            acc = field.add(field.mul(acc, r), c)
-        if acc == 0:
-            roots.append(r)
-    return roots
 
 
 def _vanishes_on_line(eq: dict, sig: Signature, field: Field) -> bool:
@@ -387,7 +361,7 @@ def decide_smoothness(eqs, sig: Signature, field: Field):
     its rank taken with jacobian_rank.  `singular` lists the points of rank
     below 2 with their rank, sorted."""
     minors = jacobian_minors(eqs, sig, field.p)
-    params = [(1, r) for r in _roots_in(minor_gcd(minors, field.p), field)]
+    params = [(1, r) for r in poly.roots_in(minor_gcd(minors, field.p), field)]
     if not any(form.get(0) for _, form in minors):
         params.append((1, 0))
     if not any(form.get(degree) for degree, form in minors):

@@ -7,13 +7,16 @@ torus coset (orbit.pairwise_equivalence), and smoothness from the gcd of
 the Jacobian minors (tetra.decide_smoothness).  These scans decide the same
 questions the slow way, one dense act or power walk per group element or
 one Jacobian rank per point of P^1, so the tests can check the fast paths
-on every field they can still reach.
+on every field they can still reach.  The Hermitian splitting with a rank
+filter and the schoolbook polynomial product are references in the same
+sense.
 """
 
 import itertools
 
 from hermitia import gf
-from hermitia.matff import Mat, MatError
+from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
+                            twisted_gram)
 from hermitia.orbit import (OrbitError, StabilizerReport, act, proportional,
                             stab_order, star_positions, sympow)
 from hermitia.tetra import (SmoothnessReport, case_signature,
@@ -155,3 +158,83 @@ def smoothness_walk(case, q, param_field):
         defining_equations(case, q), case_signature(case, q), param_field)
     return SmoothnessReport(case, q, param_field, param_field.order + 1,
                             containment_ok, singular)
+
+
+# -- Hermitian splitting -------------------------------------------------------
+
+def hermitian_decompose_rank_filter(A: Mat, q: int) -> Mat:
+    """matff.hermitian_decompose with a rank filter in place of the lemma in
+    its docstring: every basis vector is projected, and an in-order rank
+    filter keeps a basis of the complement."""
+    n = A.rows
+    f = A.field
+    if not is_hermitian(A, q):
+        raise MatError("matrix is not Hermitian for this q")
+    if A.det() == 0:
+        raise MatError("matrix is singular")
+
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ortho = []
+    while basis:
+        pivot = None
+        for v in basis:
+            if _form_value(A, v, v, q):
+                pivot = v
+                break
+        if pivot is None:
+            for a_idx in range(len(basis)):
+                for b_idx in range(a_idx + 1, len(basis)):
+                    for c in range(1, f.order):
+                        v = [f.add(x, f.mul(c, y))
+                             for x, y in zip(basis[a_idx], basis[b_idx])]
+                        if _form_value(A, v, v, q):
+                            pivot = v
+                            break
+                    if pivot:
+                        break
+                if pivot:
+                    break
+        if pivot is None:
+            raise MatError("no anisotropic vector found (degenerate form)")
+        d = _form_value(A, pivot, pivot, q)
+        ortho.append((pivot, d))
+        d_inv = f.inv(d)
+        new_basis = []
+        for v in basis:
+            c = f.mul(_form_value(A, v, pivot, q), d_inv)
+            w = [f.sub(x, f.mul(c, y)) for x, y in zip(v, pivot)]
+            if any(w):
+                new_basis.append(w)
+        basis = _independent_subset(f, new_basis, n - len(ortho))
+
+    P = Mat(f, list(zip(*[v for v, _ in ortho])))  # columns are the new basis
+    lam = [gf.solve_norm(f, d, q) for _, d in ortho]
+    B = Mat.diagonal(f, lam).mul(P.inverse())
+    if twisted_gram(B, Mat.identity(f, n), q) != A:
+        raise MatError("internal: decomposition round trip failed")
+    return B
+
+
+def _independent_subset(f, vectors, want: int):
+    picked = []
+    m = []
+    for v in vectors:
+        trial = m + [v]
+        if Mat(f, trial).rank() == len(trial):
+            picked.append(v)
+            m = trial
+            if len(picked) == want:
+                break
+    return picked
+
+
+# -- polynomials over GF(p) ----------------------------------------------------
+
+def _poly_product(a, b, p):
+    """The schoolbook product of two coefficient tuples (low to high) over
+    GF(p), untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)

@@ -14,9 +14,7 @@ import pytest
 
 from hermitia import gf
 from hermitia.cli import main as cli_main
-from hermitia.matff import (Mat, fermat_surface, hermitian_decompose,
-                            mat_from_ints, random_hermitian_invertible,
-                            random_mat, twisted_gram)
+from hermitia.matff import Mat, fermat_surface, hermitian_decompose, twisted_gram
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             canonical_signature, case_signature,
                             is_identically_zero, on_surface, smoothness_scan)
@@ -26,6 +24,7 @@ from hermitia.orbit import (act, aut_order, build_curve, count_Td,
                             pairwise_equivalence, proportional,
                             q2_lambda_member, stab_order, stabilizer_search,
                             sympow)
+from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import evaluate_form, projective_line
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from hermitia import gf
-from hermitia.matff import mat_from_ints
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
                             canonical_signature, is_identically_zero)
 from hermitia.classify import (ClassifyError, canonical_signatures_upto,
@@ -9,6 +8,7 @@ from hermitia.classify import (ClassifyError, canonical_signatures_upto,
                                enumerate_admissible, exists_invertible,
                                expected_cases, predicted_signatures,
                                solution_space)
+from matrices import mat_from_ints
 
 
 def test_solution_space_dims():

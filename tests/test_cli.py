@@ -9,7 +9,8 @@ import pytest
 import hermitia
 from hermitia import cli, gf
 from hermitia.cli import main
-from hermitia.matff import Mat, random_hermitian_invertible
+from hermitia.matff import Mat
+from matrices import random_hermitian_invertible
 
 
 def run(argv, capsys):
@@ -148,10 +149,18 @@ def test_stabilizer_parity_error(capsys):
 
 # input files the invalid-input cases below read, written to the working
 # directory of each run
+_GF9 = {"p": 3, "m": 2, "modulus": [1, 0, 1]}
+_IDENTITY = [[1, 0] if k % 5 == 0 else [0, 0] for k in range(16)]
 BAD_INPUT_FILES = {
     "not_json.json": "[[0, 0",
     "wrong_keys.json": json.dumps({"rows": 4, "cols": 4, "entries": []}),
     "long_lambda.json": json.dumps([[0, 0, 0, 0]]),   # GF(4) has m = 2
+    "float_lambda.json": json.dumps([[1.5, 0]]),
+    "float_entry.json": json.dumps({"field": _GF9, "rows": 4, "cols": 4,
+                                    "entries": [[1.5, 0]] + _IDENTITY[1:]}),
+    "float_modulus.json": json.dumps({
+        "field": {**_GF9, "modulus": [1, 0, 1.0]}, "rows": 4, "cols": 4,
+        "entries": _IDENTITY}),
 }
 
 
@@ -165,6 +174,9 @@ BAD_INPUT_FILES = {
     ["build", "--q", "3", "--case", "c1", "--surface", "wrong_keys.json"],
     ["reps-q2", "--lambdas-file", "not_json.json"],
     ["reps-q2", "--lambdas-file", "long_lambda.json"],
+    ["reps-q2", "--lambdas-file", "float_lambda.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "float_entry.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "float_modulus.json"],
     ["stabilizer", "--q", "3", "--case", "c3", "--samples", "-5"],
     ["stabilizer", "--q", "3", "--case", "c3", "--samples", "0",
      "--out", "missing_dir/x.json"],
@@ -224,6 +236,19 @@ def test_threads_environment_variable_is_ignored():
 def test_threads_flag_is_rejected(capsys):
     assert exit_code(["count", "--q", "3", "--threads", "2"]) == 3
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "3"],
+    ["classify", "--q", "2"],
+    ["build", "--q", "3", "--case", "c1", "--fermat"],
+    ["reps-q2", "--scan"],
+])
+def test_seed_flag_belongs_to_stabilizer_only(argv, capsys):
+    assert exit_code(argv + ["--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith("error: unrecognized arguments: --seed 1\n")
 
 
 def test_mode_flag_is_rejected(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia import gf
 from hermitia.gf import FieldError, make_field, make_embedding, solve_norm
+from oracles import _poly_product
 
 
 FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 2), (7, 2)]
@@ -253,15 +254,7 @@ def test_untabled_arithmetic_matches_tables(p, m, monkeypatch):
             assert raw.power_roots(x, 3) == tabled.power_roots(x, 3)
 
 
-def _poly_product(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return tuple(out)
-
-
-@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 4)])
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5)])
 def test_irreducibility_matches_product_oracle(p, m):
     """A monic polynomial is reducible exactly when it is a product of two
     monic polynomials of lower degree."""

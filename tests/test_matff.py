@@ -5,9 +5,11 @@ import pytest
 
 from hermitia import gf
 from hermitia.matff import (Mat, MatError, SurfaceSpec, fermat_surface,
-                            hermitian_decompose, is_hermitian, mat_from_ints,
-                            random_hermitian_invertible, random_invertible,
-                            random_mat, twisted_gram)
+                            hermitian_decompose, is_hermitian, twisted_gram)
+from matrices import (mat_from_ints, random_hermitian_invertible,
+                      random_hermitian_isotropic, random_invertible,
+                      random_mat)
+from oracles import hermitian_decompose_rank_filter
 
 
 def naive_det(M):
@@ -111,6 +113,20 @@ def test_decompose_random_roundtrips(q):
         A = random_hermitian_invertible(q, 4, seed)
         B = hermitian_decompose(A, q)
         assert twisted_gram(B, Mat.identity(A.field, 4), q) == A
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_decompose_matches_rank_filter_oracle(q):
+    """Dropping the pivot's own basis index gives the same B as projecting
+    every basis vector and rank-filtering them, also when every basis vector
+    is isotropic and each pivot is some v_a + c v_b."""
+    rng = random.Random(q)
+    cases = [random_hermitian_invertible(q, n, seed)
+             for n in (2, 3, 4) for seed in range(4)]
+    cases += [random_hermitian_isotropic(q, n, rng)
+              for n in (2, 3, 4) for _ in range(6)]
+    for A in cases:
+        assert hermitian_decompose(A, q) == hermitian_decompose_rank_filter(A, q)
 
 
 def test_decompose_rejects_bad_input():

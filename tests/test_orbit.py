@@ -4,8 +4,8 @@ import random
 import pytest
 
 from hermitia import gf
-from hermitia.matff import (Mat, MatError, fermat_surface, is_hermitian,
-                            mat_from_ints, random_mat, twisted_gram)
+from hermitia.matff import (Mat, MatError, SurfaceSpec, fermat_surface,
+                            is_hermitian, twisted_gram)
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
                             is_identically_zero, on_surface)
 from hermitia.classify import case_shape_check
@@ -21,6 +21,7 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             stabilizer_search, star_order, star_positions,
                             sympow, twisted_congruence_solve)
 
+from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import (_group_is_cyclic, _pgl2_elements,
                      diagonal_scan_stabilizer, full_small_stabilizer)
 
@@ -274,7 +275,6 @@ def test_build_curve_parity_mismatch():
 
 def test_build_curve_on_nonfermat_surface():
     # a non-identity Hermitian Gram matrix
-    from hermitia.matff import random_hermitian_invertible, SurfaceSpec
     A = random_hermitian_invertible(3, 4, seed=12)
     surf = SurfaceSpec(3, A)
     curve = build_curve(CASE_C1, 3, surf)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermitia import gf
-from hermitia.matff import Mat, MatError, fermat_surface, random_mat
+from hermitia.matff import Mat, MatError, fermat_surface
 from hermitia.orbit import case_target, twisted_congruence_solve
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             SignatureError, canonical_signature, case_signature,
@@ -13,6 +13,7 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             is_identically_zero, jacobian_matrix,
                             jacobian_minors, jacobian_rank, minor_gcd,
                             normalize_point, on_surface, smoothness_scan)
+from matrices import random_mat
 from oracles import (evaluate_form, projective_line, smoothness_walk,
                      walk_smoothness)
 
