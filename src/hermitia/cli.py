@@ -45,12 +45,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+class _Subcommand(_Parser):
+    """A subcommand refuses the arguments it does not take itself, so the
+    usage line printed is the subcommand's, naming the flags it does take."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        cfg, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return cfg, extra
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hermitia",
                 description="exact verification, classification, construction "
                             "and counting of tetranomial curves on smooth "
                             "Hermitian surfaces")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = p.add_subparsers(dest="subcommand", required=True,
+                           parser_class=_Subcommand)
 
     def common(sp, q=True):
         if q:

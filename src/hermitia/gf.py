@@ -33,6 +33,11 @@ class FieldError(ValueError):
     pass
 
 
+def _is_integer(c) -> bool:
+    """An int and not a bool: JSON true/false load as bool, an int subclass."""
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -247,7 +252,7 @@ class Field:
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
             raise FieldError(f"{len(coeffs)} coefficients for an element of {self}")
-        if not all(isinstance(c, int) for c in coeffs):
+        if not all(_is_integer(c) for c in coeffs):
             raise FieldError(f"element coefficients {coeffs} are not all integers")
         v = 0
         for c in reversed(coeffs):
@@ -434,7 +439,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     if modulus is None:
         modulus = default_modulus(p, m)
     else:
-        if not all(isinstance(c, int) for c in modulus):
+        if not all(_is_integer(c) for c in modulus):
             raise FieldError(f"modulus {list(modulus)} has a non-integer coefficient")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:

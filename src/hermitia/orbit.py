@@ -204,6 +204,42 @@ def sympow(g: Mat, d: int) -> Mat:
     return Mat(f, rows)
 
 
+def lucas_terms(n: int, p: int) -> list:
+    """[(k, C(n, k) mod p)] for every k with C(n, k) nonzero mod p.  Lucas's
+    theorem (Lidl & Niederreiter, Finite Fields): C(n, k) is the product of
+    C(n_l, k_l) over the base-p digits, so these are the k whose every digit
+    is at most n's."""
+    terms, place = [(0, 1)], 1
+    while n:
+        n, digit = divmod(n, p)
+        terms = [(k + t * place, c * math.comb(digit, t) % p)
+                 for k, c in terms for t in range(digit + 1)]
+        place *= p
+    return terms
+
+
+def _linear_power_terms(f: Field, a: int, b: int, n: int) -> dict:
+    """(a s + b t)^n as {t-exponent: nonzero coefficient}, by lucas_terms."""
+    if not b:
+        return {0: f.pow(a, n)}
+    if not a:
+        return {n: f.pow(b, n)}
+    return {k: f.mul(c, f.mul(f.pow(a, n - k), f.pow(b, k)))
+            for k, c in lucas_terms(n, f.p)}
+
+
+def sympow_row_support(g: Mat, d: int, r: int) -> set:
+    """The columns u with sympow(g, d)[r][u] != 0, from the sparse expansions
+    of row r = (a s + b t)^(d - r) (c s + e t)^r."""
+    f = g.field
+    (a, b), (c, e) = g.data
+    row = {}
+    for k, x in _linear_power_terms(f, a, b, d - r).items():
+        for l, y in _linear_power_terms(f, c, e, r).items():
+            row[k + l] = f.add(row.get(k + l, 0), f.mul(x, y))
+    return {u for u, v in row.items() if v}
+
+
 def diag_weight(u: int, w: int, d: int, q: int):
     """Exponents (a, b) with act(M, diag(l, m)) = l^a m^b M at big cell
     (u, w): phi(diag(l, m)) is diag(l^(d-k) m^k), k = 0..d."""
@@ -248,14 +284,15 @@ def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
     return BigForm(case, q, n, B4.field, cells)
 
 
-def act(M: BigForm, g: Mat) -> BigForm:
-    """t(phi(g)) M phi(g)^(q), computed exactly in the big space."""
+def act(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
+    """t(phi(g)) M phi(g)^(q), computed exactly in the big space.  A caller
+    moving several forms of one degree by g passes phi = sympow(g, d) once."""
     if g.field is not M.field:
         raise OrbitError("lift the form and g to a common field first")
     f = M.field
     q = M.q
-    d = M.n - 1
-    phi = sympow(g, d)
+    if phi is None:
+        phi = sympow(g, M.n - 1)
     powq = {}
     for (_, c) in M.cells:
         if c not in powq:
@@ -372,7 +409,8 @@ def pairwise_equivalence(forms, search_field: Field):
     _torus_cosets, and act(M, h D) = act(act(M, h), D).  Projectively
     diag(s, t) is diag(s/t, 1), so one act per (h, source) and one
     diagonal_solutions call per target decide the whole torus coset h T:
-    |F|(|F| + 1) acts per source instead of |F|(|F|^2 - 1)."""
+    |F|(|F| + 1) acts per source instead of |F|(|F|^2 - 1).  Sources of one
+    degree share each h's sympow."""
     cosets = _torus_cosets(search_field)
     lifted = [m.lift_to(search_field) for m in forms]
     n = len(lifted)
@@ -384,8 +422,12 @@ def pairwise_equivalence(forms, search_field: Field):
         by_source = {}
         for (i, j) in unresolved:
             by_source.setdefault(i, []).append(j)
+        phis = {}
         for i, targets in by_source.items():
-            Mh = act(lifted[i], h)
+            d = lifted[i].n - 1
+            if d not in phis:
+                phis[d] = sympow(h, d)
+            Mh = act(lifted[i], h, phis[d])
             for j in targets:
                 sol = diagonal_solutions(Mh, lifted[j])
                 if sol is None:
@@ -694,18 +736,32 @@ class StabilizerReport:
         }
 
 
+def _generator_entries(M: BigForm):
+    """(D, entries): D = diagonal_fixing_order over M's field, and the star
+    entries x^(-k step) at each star position k of diag(x^step, 1),
+    step = |F*| / D."""
+    f = M.field
+    n = f.order - 1
+    D = diagonal_fixing_order(M, n)
+    step = n // D
+    return D, [f.exp_gen(-step * k % n) for k in star_positions(M.case, M.q)]
+
+
 def diagonal_stabilizer(M: BigForm) -> list:
     """Sorted projective stars diag(1, x^-i, x^-j, x^-d) of every diag(x, 1)
     over M's field fixing M up to a scalar: the x of order dividing
-    diagonal_fixing_order.  diag(a, e) acts as diag(a/e, 1) projectively."""
+    diagonal_fixing_order, which are the powers of diagonal_generator, each
+    star one entrywise multiplication from the previous.  diag(a, e) acts as
+    diag(a/e, 1) projectively."""
     f = M.field
-    n = f.order - 1
-    step = n // diagonal_fixing_order(M, n)
-    pos = star_positions(M.case, M.q)
+    mul = f.mul
+    count, gen = _generator_entries(M)
     elements = {}
-    for e in range(0, n, step):
-        star = Mat.diagonal(f, [f.exp_gen(-e * k % n) for k in pos])
+    cur = [1] * len(gen)
+    for _ in range(count):
+        star = Mat.diagonal(f, cur)
         elements[star.key()] = star
+        cur = [mul(x, y) for x, y in zip(cur, gen)]
     return [elements[k] for k in sorted(elements)]
 
 
@@ -713,22 +769,62 @@ def diagonal_generator(M: BigForm) -> Mat:
     """The star diag(1, x^-i step, x^-j step, x^-d step) of diag(x^step, 1),
     step = |F*| / diagonal_fixing_order: every element of
     diagonal_stabilizer(M) is one of its powers."""
-    f = M.field
-    n = f.order - 1
-    step = n // diagonal_fixing_order(M, n)
-    return Mat.diagonal(f, [f.exp_gen(-step * k % n)
-                            for k in star_positions(M.case, M.q)])
+    return Mat.diagonal(M.field, _generator_entries(M)[1])
 
 
 def star_order(star: Mat) -> int:
     """Length of the walk over the powers of a diagonal star with leading
-    entry 1 back to the identity: its projective order."""
-    ident = Mat.identity(star.field, star.rows)
-    k, cur = 1, star
-    while cur != ident:
-        cur = cur.mul(star)
+    entry 1 back to the identity: its projective order.  The powers are
+    taken entry by entry on the diagonal."""
+    mul = star.field.mul
+    gen = [star.data[k][k] for k in range(star.rows)]
+    k, cur = 1, gen
+    while any(x != 1 for x in cur):
+        cur = [mul(x, y) for x, y in zip(cur, gen)]
         k += 1
     return k
+
+
+def span_escape_test(M: BigForm):
+    """A predicate escapes(a, b, c, e) on g = [[a, b], [c, e]]: True when a
+    row of phi(g) = sympow(g, d) at a star position has a nonzero entry off
+    the stars, which rules g out of M's stabilizer.
+
+    Support-row lemma.  Let M be supported on S x S, S = (0, i, j, d) the
+    star positions, with invertible 4x4 core.  If act(M, g) is proportional
+    to M, then phi[r][u] = 0 for every r in S and u not in S.  Proof: row u
+    of act(M, g) is the sum over r in S of phi[r][u] times row r of
+    M_core P^(q), P the rows of phi at S.  phi is invertible (sympow is a
+    homomorphism), so P and its Frobenius twist P^(q) have rank 4, and so
+    has M_core P^(q): its rows are independent.  For u not in S row u of a
+    multiple of M is zero, so every phi[r][u] vanishes.
+
+    Row 0 is (a s + b t)^d.  With a b != 0 its support is exactly the k
+    whose base-p digits are at most d's (lucas_terms), with a b = 0 it is
+    {0} or {d}; row d = (c s + e t)^d likewise with c, e.  So rows 0 and d
+    are decided by which of a, b, c, e vanish and one set computed here.
+    The g left over, with a zero entry, have rows i and j expanded sparsely
+    (sympow_row_support).  Raises OrbitError if M leaves S x S or its core
+    is singular, where the lemma does not apply."""
+    f = M.field
+    pos = star_positions(M.case, M.q)
+    stars = set(pos)
+    if any(r not in stars or c not in stars for r, c in M.cells):
+        raise OrbitError("internal: support-row test needs a form on the stars")
+    core = Mat(f, [[M.cells.get((r, c), 0) for c in pos] for r in pos])
+    if core.det() == 0:
+        raise OrbitError("internal: support-row test needs an invertible core")
+    d = M.n - 1
+    generic_escapes = any(k not in stars for k, _ in lucas_terms(d, f.p))
+    middle = pos[1:3]
+
+    def escapes(a, b, c, e):
+        if generic_escapes and (a and b or c and e):
+            return True
+        g = Mat(f, [[a, b], [c, e]])
+        return any(not sympow_row_support(g, d, r) <= stars for r in middle)
+
+    return escapes
 
 
 def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
@@ -739,7 +835,9 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
     over M's support decides it (diagonal_stabilizer), and the order counts
     distinct projective stars.  The group is cyclic when the powers of
     diagonal_generator are that many.  Sampled non-diagonal g check that no
-    further solutions hide off the diagonal."""
+    further solutions hide off the diagonal: span_escape_test rules out
+    almost every sample from the rows of phi(g) at the stars, and only the
+    rest are decided by a dense act."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
     if samples < 0:
@@ -748,6 +846,7 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
     fld = gf.gf_ext(q, 3)
     big = embed_qprime(rep, case, q).lift_to(fld)
     elems = diagonal_stabilizer(big)
+    escapes = span_escape_test(big)
     hits = 0
     rng = random.Random(seed)
     done = 0
@@ -757,6 +856,8 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
         if (b == 0 and c == 0) or fld.sub(fld.mul(a, e), fld.mul(b, c)) == 0:
             continue
         done += 1
+        if escapes(a, b, c, e):
+            continue
         g = Mat(fld, [[a, b], [c, e]])
         if proportional(act(big, g), big) is not None:
             hits += 1

@@ -156,6 +156,10 @@ BAD_INPUT_FILES = {
     "wrong_keys.json": json.dumps({"rows": 4, "cols": 4, "entries": []}),
     "long_lambda.json": json.dumps([[0, 0, 0, 0]]),   # GF(4) has m = 2
     "float_lambda.json": json.dumps([[1.5, 0]]),
+    "bool_lambda.json": json.dumps([[True, False]]),
+    "bool_modulus.json": json.dumps({
+        "field": {**_GF9, "modulus": [True, 0, True]}, "rows": 4, "cols": 4,
+        "entries": _IDENTITY}),
     "float_entry.json": json.dumps({"field": _GF9, "rows": 4, "cols": 4,
                                     "entries": [[1.5, 0]] + _IDENTITY[1:]}),
     "float_modulus.json": json.dumps({
@@ -185,6 +189,8 @@ BAD_INPUT_FILES = {
     ["build", "--q", "3", "--case", "c1", "--fermat", "--max-ext", "-5"],
     ["build", "--q", "3", "--case", "c3", "--fermat", "--max-ext", "0"],
     ["build", "--q", "4", "--case", "c2", "--fermat", "--max-ext", "0"],
+    ["reps-q2", "--lambdas-file", "bool_lambda.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "bool_modulus.json"],
 ])
 def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     for name, text in BAD_INPUT_FILES.items():
@@ -249,6 +255,19 @@ def test_seed_flag_belongs_to_stabilizer_only(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert err.endswith("error: unrecognized arguments: --seed 1\n")
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["count", "--q", "3", "--seed", "1"], "usage: hermitia count [-h] --q Q"),
+    (["stabilizer", "--q", "3", "--case", "c3", "--threads", "2"],
+     "usage: hermitia stabilizer [-h] --case {c2,c3}"),
+])
+def test_unknown_flag_is_refused_with_the_subcommand_usage(argv, usage, capsys):
+    assert exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith(f"\nhermitia {argv[0]}: error: unrecognized arguments: "
+                        f"{' '.join(argv[-2:])}\n")
 
 
 def test_mode_flag_is_rejected(capsys):

@@ -81,6 +81,17 @@ def test_reducible_modulus_rejected():
         make_field(2, 2, (1, 1))      # wrong degree
 
 
+def test_booleans_are_not_coefficients():
+    """JSON true/false load as bool, an int subclass; neither an element nor
+    a modulus takes them."""
+    f4 = make_field(2, 2)
+    with pytest.raises(FieldError):
+        f4.element([True, False])
+    with pytest.raises(FieldError):
+        make_field(3, 2, (True, 0, True))
+    assert f4.element([1, 0]) == 1
+
+
 def test_gf4_arithmetic():
     f = make_field(2, 2)
     w = f.element([0, 1])

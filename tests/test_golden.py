@@ -5,6 +5,7 @@ the field arithmetic was rebound at construction).  The GF(9) full GL2
 stabilizer report was written by the package's scan before that scan became
 a test oracle (oracles.py), which must still reproduce it."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -43,6 +44,21 @@ def test_reps_q2_scan_stdout(capsys):
 def test_cli_stdout(name, argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv,code,sha256", [
+    (["stabilizer", "--q", "4", "--case", "c2", "--seed", "1"], 0,
+     "7cbdc1b50b30c42b91d3771c9bca9c18f38e2cd816f31ff2142899e1f610d75e"),
+    (["stabilizer", "--q", "3", "--case", "c3", "--seed", "1"], 2,
+     "7bf197c2f75dbac16d79fcf063a300a3582b3d18c1c445a6c10a9dcb3d48f269"),
+], ids=["c2_q4", "c3_q3"])
+def test_sampled_stabilizer_stdout_digest(argv, code, sha256, capsys):
+    """The default 10^4 seeded non-diagonal samples, pinned by the digest of
+    stdout as written while every sample still went through a dense act:
+    the sampled path must draw the same g and reach the same counts."""
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sha256
 
 
 def test_stabilizer_c3_q3_full_small_gf9_report():

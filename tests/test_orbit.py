@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from hermitia import gf
+from hermitia import gf, orbit
 from hermitia.matff import (Mat, MatError, SurfaceSpec, fermat_surface,
                             is_hermitian, twisted_gram)
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, case_signature,
@@ -15,11 +16,11 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             diag_weight, diagonal_fixing_order,
                             diagonal_generator, diagonal_solutions,
                             diagonal_stabilizer, embed_qprime, inflate_case1,
-                            normalize_to_rep, pairwise_equivalence, proportional,
-                            q2_lambda_member,
-                            q2_parameter_matrices, stab_order,
+                            lucas_terms, normalize_to_rep, pairwise_equivalence,
+                            proportional, q2_lambda_member,
+                            q2_parameter_matrices, span_escape_test, stab_order,
                             stabilizer_search, star_order, star_positions,
-                            sympow, twisted_congruence_solve)
+                            sympow, sympow_row_support, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import (_group_is_cyclic, _pgl2_elements,
@@ -302,6 +303,21 @@ def test_lambda_family_inequivalent_over_gf4():
              for lam in range(4)]
     verdicts = pairwise_equivalence(forms, gf.gfq2(2))
     assert all(v is None for v in verdicts.values())
+
+
+def test_pairwise_equivalence_shares_sympow_per_coset_and_degree(monkeypatch):
+    """One sympow per torus coset and source degree, however many sources
+    of that degree: four degree-3 forms and one degree-6 form over GF(16),
+    272 cosets, no witness."""
+    lams = [embed_qprime(inflate_case1(q2_lambda_member(lam)), CASE_C1, 2)
+            for lam in range(4)]
+    sextic = embed_qprime(case_target(CASE_C2, 2), CASE_C2, 2)
+    degrees, real = [], orbit.sympow
+    monkeypatch.setattr(orbit, "sympow",
+                        lambda g, d: degrees.append(d) or real(g, d))
+    verdicts = pairwise_equivalence(lams + [sextic], gf.make_field(2, 4))
+    assert all(v is None for v in verdicts.values())
+    assert sorted(degrees) == [3] * 272 + [6] * 272
 
 
 def test_cube_root_witness_over_gf64():
@@ -698,3 +714,102 @@ def test_order_two_stabilizer_element_on_fermat_surface():
                   if (a != 0) == (b != 0)}
         assert len(ratios) == 1 and all((a == 0) == (b == 0)
                                         for a, b in zip(gx, y))
+
+
+# -- the support-row filter of the sampled stabilizer ------------------------------------
+
+def test_lucas_terms_are_the_binomials_nonzero_mod_p():
+    for p in (2, 3, 5, 7):
+        for n in range(60):
+            expect = [(k, math.comb(n, k) % p) for k in range(n + 1)
+                      if math.comb(n, k) % p]
+            assert sorted(lucas_terms(n, p)) == expect
+
+
+@pytest.mark.parametrize("q,m,d", [
+    (3, 1, 6), (3, 3, 6), (4, 1, 20), (5, 1, 15), (3, 1, 13), (4, 1, 7),
+])
+def test_sympow_row_support_matches_dense_rows(q, m, d):
+    """The sparse expansion of each row against the nonzero columns of the
+    dense sympow, on random g with some entries set to zero."""
+    fld = gf.gf_ext(q, m)
+    rng = random.Random(100 * q + d)
+    for _ in range(12):
+        g = Mat(fld, [[rng.randrange(fld.order) if rng.random() < 0.7 else 0
+                       for _ in range(2)] for _ in range(2)])
+        phi = sympow(g, d)
+        for r in range(d + 1):
+            assert sympow_row_support(g, d, r) == {
+                u for u, v in enumerate(phi.data[r]) if v}
+
+
+def _filter_probes(M, rng, count):
+    """Invertible g of every shape the filter branches on: random, upper
+    and lower triangular, anti-diagonal, and the diag(x^k step, 1) of M's own
+    diagonal stabilizer."""
+    f = M.field
+    unit = lambda: rng.randrange(1, f.order)  # noqa: E731
+    probes = [Mat(f, [[unit(), unit()], [unit(), unit()]]) for _ in range(count)]
+    for _ in range(count // 4):
+        probes += [Mat(f, [[unit(), unit()], [0, unit()]]),
+                   Mat(f, [[unit(), 0], [unit(), unit()]]),
+                   Mat(f, [[0, unit()], [unit(), 0]])]
+    n = f.order - 1
+    D = diagonal_fixing_order(M, n)
+    probes += [Mat(f, [[f.exp_gen(k * (n // D)), 0], [0, 1]])
+               for k in range(min(D, count))]
+    return [g for g in probes if g.det()]
+
+
+@pytest.mark.parametrize("case,q,m", [
+    (CASE_C3, 3, 1), (CASE_C3, 3, 3), (CASE_C2, 4, 1), (CASE_C3, 5, 1),
+])
+def test_span_escape_rejects_only_non_stabilizer_g(case, q, m):
+    """Differential test of the support-row lemma over GF(9), GF(3^6),
+    GF(16) and GF(25): every g the filter rejects has act(M, g) not
+    proportional to M, and the diagonal stabilizer's own elements, which
+    are hits, all pass the filter."""
+    M = embed_qprime(canonical_rep(case, q), case, q).lift_to(gf.gf_ext(q, m))
+    escapes = span_escape_test(M)
+    rejected = hits = 0
+    for g in _filter_probes(M, random.Random(q * m), 60):
+        hit = proportional(act(M, g), M) is not None
+        if escapes(*g.data[0], *g.data[1]):
+            assert not hit
+            rejected += 1
+        hits += hit
+    assert rejected and hits
+
+
+@pytest.mark.parametrize("case,fixing", [(CASE_C3, 2), (CASE_C1, 16)])
+def test_span_escape_over_all_of_pgl2_gf9(case, fixing):
+    """Every element of PGL2(GF(9)) at q = 3: no hit is rejected, including
+    the 14 non-diagonal elements fixing the c1 form."""
+    M = embed_qprime(canonical_rep(case, 3), case, 3)
+    escapes = span_escape_test(M)
+    hits = 0
+    for g in _pgl2_elements(M.field):
+        hit = proportional(act(M, g), M) is not None
+        assert not (hit and escapes(*g.data[0], *g.data[1]))
+        hits += hit
+    assert hits == fixing
+
+
+def test_span_escape_refuses_forms_outside_the_lemma():
+    M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
+    singular = BigForm(M.case, M.q, M.n, M.field, {(0, 5): 1, (5, 0): 1})
+    with pytest.raises(OrbitError, match="invertible core"):
+        span_escape_test(singular)
+    off_stars = BigForm(M.case, M.q, M.n, M.field, {**M.cells, (1, 1): 1})
+    with pytest.raises(OrbitError, match="on the stars"):
+        span_escape_test(off_stars)
+
+
+@pytest.mark.parametrize("case,q", [(CASE_C2, 4), (CASE_C3, 3), (CASE_C3, 5)])
+def test_sampled_stabilizer_needs_no_dense_act(case, q, monkeypatch):
+    """For c2/c3 the filter rejects every default sample before act."""
+    calls, real = [], orbit.act
+    monkeypatch.setattr(orbit, "act", lambda M, g: calls.append(g) or real(M, g))
+    rep = stabilizer_search(case, q)
+    assert rep.nondiagonal_samples == 10 ** 4 and rep.nondiagonal_hits == 0
+    assert calls == []
