@@ -204,40 +204,16 @@ def sympow(g: Mat, d: int) -> Mat:
     return Mat(f, rows)
 
 
-def lucas_terms(n: int, p: int) -> list:
-    """[(k, C(n, k) mod p)] for every k with C(n, k) nonzero mod p.  Lucas's
-    theorem (Lidl & Niederreiter, Finite Fields): C(n, k) is the product of
-    C(n_l, k_l) over the base-p digits, so these are the k whose every digit
-    is at most n's."""
-    terms, place = [(0, 1)], 1
+def lucas_exponents(n: int, p: int) -> set:
+    """The k with C(n, k) nonzero mod p.  Lucas's theorem (Lidl &
+    Niederreiter, Finite Fields): C(n, k) is the product of C(n_l, k_l) over
+    the base-p digits, so these are the k whose every digit is at most n's."""
+    ks, place = {0}, 1
     while n:
         n, digit = divmod(n, p)
-        terms = [(k + t * place, c * math.comb(digit, t) % p)
-                 for k, c in terms for t in range(digit + 1)]
+        ks = {k + t * place for k in ks for t in range(digit + 1)}
         place *= p
-    return terms
-
-
-def _linear_power_terms(f: Field, a: int, b: int, n: int) -> dict:
-    """(a s + b t)^n as {t-exponent: nonzero coefficient}, by lucas_terms."""
-    if not b:
-        return {0: f.pow(a, n)}
-    if not a:
-        return {n: f.pow(b, n)}
-    return {k: f.mul(c, f.mul(f.pow(a, n - k), f.pow(b, k)))
-            for k, c in lucas_terms(n, f.p)}
-
-
-def sympow_row_support(g: Mat, d: int, r: int) -> set:
-    """The columns u with sympow(g, d)[r][u] != 0, from the sparse expansions
-    of row r = (a s + b t)^(d - r) (c s + e t)^r."""
-    f = g.field
-    (a, b), (c, e) = g.data
-    row = {}
-    for k, x in _linear_power_terms(f, a, b, d - r).items():
-        for l, y in _linear_power_terms(f, c, e, r).items():
-            row[k + l] = f.add(row.get(k + l, 0), f.mul(x, y))
-    return {u for u, v in row.items() if v}
+    return ks
 
 
 def diag_weight(u: int, w: int, d: int, q: int):
@@ -286,13 +262,17 @@ def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
 
 def act(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
     """t(phi(g)) M phi(g)^(q), computed exactly in the big space.  A caller
-    moving several forms of one degree by g passes phi = sympow(g, d) once."""
+    moving several forms of one degree by g passes phi = sympow(g, d) once;
+    a phi of another size or field is refused, but one built from another g
+    of that size is not detected."""
     if g.field is not M.field:
         raise OrbitError("lift the form and g to a common field first")
     f = M.field
     q = M.q
     if phi is None:
         phi = sympow(g, M.n - 1)
+    elif phi.field is not f or phi.rows != M.n or phi.cols != M.n:
+        raise OrbitError(f"phi must be sympow(g, {M.n - 1}) over the form's field")
     powq = {}
     for (_, c) in M.cells:
         if c not in powq:
@@ -786,9 +766,9 @@ def star_order(star: Mat) -> int:
 
 
 def span_escape_test(M: BigForm):
-    """A predicate escapes(a, b, c, e) on g = [[a, b], [c, e]]: True when a
-    row of phi(g) = sympow(g, d) at a star position has a nonzero entry off
-    the stars, which rules g out of M's stabilizer.
+    """A predicate escapes(a, b, c, e) on invertible g = [[a, b], [c, e]]:
+    True when a row of phi(g) = sympow(g, d) at a star position has a
+    nonzero entry off the stars, which rules g out of M's stabilizer.
 
     Support-row lemma.  Let M be supported on S x S, S = (0, i, j, d) the
     star positions, with invertible 4x4 core.  If act(M, g) is proportional
@@ -799,13 +779,18 @@ def span_escape_test(M: BigForm):
     has M_core P^(q): its rows are independent.  For u not in S row u of a
     multiple of M is zero, so every phi[r][u] vanishes.
 
-    Row 0 is (a s + b t)^d.  With a b != 0 its support is exactly the k
-    whose base-p digits are at most d's (lucas_terms), with a b = 0 it is
-    {0} or {d}; row d = (c s + e t)^d likewise with c, e.  So rows 0 and d
-    are decided by which of a, b, c, e vanish and one set computed here.
-    The g left over, with a zero entry, have rows i and j expanded sparsely
-    (sympow_row_support).  Raises OrbitError if M leaves S x S or its core
-    is singular, where the lemma does not apply."""
+    Row r of phi is (a s + b t)^(d - r) (c s + e t)^r.  With a b != 0 row 0
+    has support exactly lucas_exponents(d, p), and with c e != 0 so has
+    row d.  An invertible g with a b = c e = 0 is diagonal, which never
+    escapes, or anti-diagonal, whose row r is the one monomial at column
+    d - r.  So the verdict depends only on which entries vanish, and both
+    non-diagonal verdicts are decided here once.
+
+    For c2 and c3 every non-diagonal g escapes.  There d = q k with k prime
+    to p, so q is in lucas_exponents(d, p) but is not a star; and row j of
+    an anti-diagonal g lands at d - j = q - 1 (c2) or (q - 1)/2 (c3), not a
+    star either.  Raises OrbitError if M leaves S x S or its core is
+    singular, where the lemma does not apply."""
     f = M.field
     pos = star_positions(M.case, M.q)
     stars = set(pos)
@@ -815,14 +800,13 @@ def span_escape_test(M: BigForm):
     if core.det() == 0:
         raise OrbitError("internal: support-row test needs an invertible core")
     d = M.n - 1
-    generic_escapes = any(k not in stars for k, _ in lucas_terms(d, f.p))
-    middle = pos[1:3]
+    full_row_escapes = not lucas_exponents(d, f.p) <= stars
+    swap_escapes = any(d - r not in stars for r in pos)
 
     def escapes(a, b, c, e):
-        if generic_escapes and (a and b or c and e):
-            return True
-        g = Mat(f, [[a, b], [c, e]])
-        return any(not sympow_row_support(g, d, r) <= stars for r in middle)
+        if a and b or c and e:
+            return full_row_escapes
+        return not a and swap_escapes
 
     return escapes
 
@@ -835,9 +819,10 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
     over M's support decides it (diagonal_stabilizer), and the order counts
     distinct projective stars.  The group is cyclic when the powers of
     diagonal_generator are that many.  Sampled non-diagonal g check that no
-    further solutions hide off the diagonal: span_escape_test rules out
-    almost every sample from the rows of phi(g) at the stars, and only the
-    rest are decided by a dense act."""
+    further solutions hide off the diagonal.  span_escape_test rules out
+    every non-diagonal g of c2 and c3 from which of its entries vanish, so
+    no sample reaches the dense act, which stays the decision for any g
+    the lemma leaves open."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
     if samples < 0:

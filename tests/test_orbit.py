@@ -16,11 +16,12 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             diag_weight, diagonal_fixing_order,
                             diagonal_generator, diagonal_solutions,
                             diagonal_stabilizer, embed_qprime, inflate_case1,
-                            lucas_terms, normalize_to_rep, pairwise_equivalence,
+                            lucas_exponents, normalize_to_rep,
+                            pairwise_equivalence,
                             proportional, q2_lambda_member,
                             q2_parameter_matrices, span_escape_test, stab_order,
                             stabilizer_search, star_order, star_positions,
-                            sympow, sympow_row_support, twisted_congruence_solve)
+                            sympow, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import (_group_is_cyclic, _pgl2_elements,
@@ -318,6 +319,17 @@ def test_pairwise_equivalence_shares_sympow_per_coset_and_degree(monkeypatch):
     verdicts = pairwise_equivalence(lams + [sextic], gf.make_field(2, 4))
     assert all(v is None for v in verdicts.values())
     assert sorted(degrees) == [3] * 272 + [6] * 272
+
+
+def test_act_refuses_phi_of_another_degree_or_field():
+    M = embed_qprime(case_target(CASE_C3, 3), CASE_C3, 3)
+    g = Mat(M.field, [[1, 1], [0, 1]])
+    assert act(M, g, sympow(g, M.n - 1)).cells == act(M, g).cells
+    with pytest.raises(OrbitError, match="phi must be"):
+        act(M, g, sympow(g, M.n - 2))
+    other = gf.gf_ext(3, 3)
+    with pytest.raises(OrbitError, match="phi must be"):
+        act(M, g, sympow(Mat(other, [[1, 1], [0, 1]]), M.n - 1))
 
 
 def test_cube_root_witness_over_gf64():
@@ -718,29 +730,26 @@ def test_order_two_stabilizer_element_on_fermat_surface():
 
 # -- the support-row filter of the sampled stabilizer ------------------------------------
 
-def test_lucas_terms_are_the_binomials_nonzero_mod_p():
+def test_lucas_exponents_are_the_binomials_nonzero_mod_p():
     for p in (2, 3, 5, 7):
         for n in range(60):
-            expect = [(k, math.comb(n, k) % p) for k in range(n + 1)
-                      if math.comb(n, k) % p]
-            assert sorted(lucas_terms(n, p)) == expect
+            assert lucas_exponents(n, p) == {k for k in range(n + 1)
+                                             if math.comb(n, k) % p}
 
 
-@pytest.mark.parametrize("q,m,d", [
-    (3, 1, 6), (3, 3, 6), (4, 1, 20), (5, 1, 15), (3, 1, 13), (4, 1, 7),
+@pytest.mark.parametrize("case,q", [
+    (CASE_C2, 2), (CASE_C2, 4), (CASE_C2, 8), (CASE_C3, 3), (CASE_C3, 5),
+    (CASE_C3, 7), (CASE_C3, 9), (CASE_C3, 25),
 ])
-def test_sympow_row_support_matches_dense_rows(q, m, d):
-    """The sparse expansion of each row against the nonzero columns of the
-    dense sympow, on random g with some entries set to zero."""
-    fld = gf.gf_ext(q, m)
-    rng = random.Random(100 * q + d)
-    for _ in range(12):
-        g = Mat(fld, [[rng.randrange(fld.order) if rng.random() < 0.7 else 0
-                       for _ in range(2)] for _ in range(2)])
-        phi = sympow(g, d)
-        for r in range(d + 1):
-            assert sympow_row_support(g, d, r) == {
-                u for u, v in enumerate(phi.data[r]) if v}
+def test_span_escape_rejects_every_nondiagonal_shape_for_c2_c3(case, q):
+    """Full rows 0 and d reach column q and an anti-diagonal g moves row j
+    to d - j, neither a star; a diagonal g is never rejected."""
+    M = embed_qprime(case_target(case, q), case, q)
+    escapes = span_escape_test(M)
+    for g in [(1, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
+              (1, 1, 1, 0), (0, 1, 1, 0)]:
+        assert escapes(*g)
+    assert not escapes(1, 0, 0, 1)
 
 
 def _filter_probes(M, rng, count):
