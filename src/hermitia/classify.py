@@ -21,8 +21,7 @@ from typing import Optional
 from . import gf
 from .matff import Mat
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature, SignatureError,
-                    canonical_signature, case_signature, exponent_matrix,
-                    is_identically_zero)
+                    canonical_signature, case_signature, exponent_matrix)
 
 _WITNESS_SEARCH_BITS = 24   # exhaustive witness hunt over GF(q^2)^dim up to 2^24 vectors
 _GRID_DIM_LIMIT = 10        # 5^dim grid guard; never hit at desk scale
@@ -45,11 +44,10 @@ class SolutionSpace:
     field: gf.Field
     forced_zero: frozenset          # cells (l, m) that must vanish
     groups: tuple                   # tuples of cells sharing an exponent, size >= 2
-    basis: list                     # 4x4 Mats spanning the space
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return sum(len(group) - 1 for group in self.groups)
 
     def contains(self, B: Mat) -> bool:
         """Exact membership; works over any extension of the base field."""
@@ -90,18 +88,7 @@ def solution_space(sig: Signature, q: int) -> SolutionSpace:
     forced = frozenset(cells[0] for cells in by_value.values() if len(cells) == 1)
     groups = tuple(tuple(cells) for _, cells in sorted(by_value.items())
                    if len(cells) >= 2)
-    fld = gf.gfq2(q)
-    basis = []
-    for group in groups:
-        anchor = group[0]
-        for cell in group[1:]:
-            data = [[0] * 4 for _ in range(4)]
-            data[cell[0]][cell[1]] = 1
-            data[anchor[0]][anchor[1]] = fld.neg(1)
-            basis.append(Mat(fld, data))
-    space = SolutionSpace(sig, q, fld, forced, groups, basis)
-    assert all(is_identically_zero(sig, q, b) for b in basis)
-    return space
+    return SolutionSpace(sig, q, gf.gfq2(q), forced, groups)
 
 
 @dataclass

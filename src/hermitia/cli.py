@@ -45,6 +45,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+class _TopLevel(_Parser):
+    """Refuses a flag before the subcommand by name, where argparse would
+    read the flag's value as the subcommand; only help may come first."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        if args and args[0].startswith("-") and not (
+                args[0] == "-h" or len(args[0]) > 2 and "--help".startswith(args[0])):
+            self.error(f"unrecognized arguments: {args[0]} "
+                       "(flags go after the subcommand)")
+        return super().parse_known_args(args, namespace)
+
+
 class _Subcommand(_Parser):
     """A subcommand refuses the arguments it does not take itself, so the
     usage line printed is the subcommand's, naming the flags it does take."""
@@ -57,7 +70,7 @@ class _Subcommand(_Parser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="hermitia",
+    p = _TopLevel(prog="hermitia",
                 description="exact verification, classification, construction "
                             "and counting of tetranomial curves on smooth "
                             "Hermitian surfaces")

@@ -2,8 +2,8 @@
 splitting of an invertible Hermitian matrix A into t(B) B^(q).
 
 Matrices are small (4x4 up to ~21x21) and exact: det is division-free
-Laplace expansion and covers n <= 4 only, rank and inverse are plain Gaussian
-elimination; no floating point anywhere.
+Laplace expansion and covers n <= 4 only, rank and inverse share one
+Gauss-Jordan elimination; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -124,26 +124,7 @@ class Mat:
         return total
 
     def rank(self) -> int:
-        f = self.field
-        a = [row[:] for row in self.data]
-        rank = 0
-        row = 0
-        for col in range(self.cols):
-            piv = next((r for r in range(row, self.rows) if a[r][col]), None)
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = f.inv(a[row][col])
-            a[row] = [f.mul(inv, x) for x in a[row]]
-            for r in range(self.rows):
-                if r != row and a[r][col]:
-                    c = a[r][col]
-                    a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[row])]
-            rank += 1
-            row += 1
-            if row == self.rows:
-                break
-        return rank
+        return _row_reduce(self.field, [row[:] for row in self.data], self.cols)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.det() != 0
@@ -151,24 +132,12 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise MatError("inverse of non-square matrix")
-        f = self.field
         n = self.rows
         a = [row[:] + [1 if i == j else 0 for j in range(n)]
              for i, row in enumerate(self.data)]
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if a[r][col]), None)
-            if piv is None:
-                raise MatError("matrix is singular")
-            a[row], a[piv] = a[piv], a[row]
-            inv = f.inv(a[row][col])
-            a[row] = [f.mul(inv, x) for x in a[row]]
-            for r in range(n):
-                if r != row and a[r][col]:
-                    c = a[r][col]
-                    a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[row])]
-            row += 1
-        return Mat(f, [r[n:] for r in a])
+        if _row_reduce(self.field, a, n) < n:
+            raise MatError("matrix is singular")
+        return Mat(self.field, [r[n:] for r in a])
 
     # -- field changes --------------------------------------------------------------
 
@@ -195,6 +164,29 @@ class Mat:
         if len(flat) != rows * cols:
             raise MatError("entry count does not match shape")
         return cls(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
+
+
+def _row_reduce(f: Field, a, cols: int) -> int:
+    """Gauss-Jordan elimination of the rows a, in place, on their first cols
+    columns; returns the number of pivots, the rank of that block.  At full
+    rank the block ends as the identity, so [A | I] becomes [I | A^-1]."""
+    inv, mul, sub = f.inv, f.mul, f.sub
+    row = 0
+    for col in range(cols):
+        if row == len(a):
+            break
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        s = inv(a[row][col])
+        top = a[row] = [mul(s, x) for x in a[row]]
+        for r, other in enumerate(a):
+            c = other[col]
+            if c and r != row:
+                a[r] = [sub(x, mul(c, y)) for x, y in zip(other, top)]
+        row += 1
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Brute-force scans, kept as oracles for the differential tests.
 
 The package decides the diagonal stabilizer with one gcd over the
-representative's support (orbit.diagonal_stabilizer) and its cyclicity by
-the order of one generator (orbit.star_order), equivalence by one act per
+representative's support and lists it as the powers of one generator, so
+cyclic by construction (orbit.diagonal_stabilizer), equivalence by one act per
 torus coset (orbit.pairwise_equivalence), and smoothness from the gcd of
 the Jacobian minors (tetra.decide_smoothness).  These scans decide the same
 questions the slow way, one dense act or power walk per group element or

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from hermitia import gf
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
-                            canonical_signature, is_identically_zero)
+                            canonical_signature, expand_form,
+                            is_identically_zero)
 from hermitia.classify import (ClassifyError, canonical_signatures_upto,
                                case_shape_basis, case_shape_check,
                                enumerate_admissible, exists_invertible,
@@ -30,11 +33,21 @@ def test_solution_space_dim_formula():
         assert sp.dim == 16 - classes
 
 
-def test_solution_space_basis_vanishes():
-    sp = solution_space(Signature(6, 1, 3), 2)
-    for b in sp.basis:
-        assert is_identically_zero(sp.sig, sp.q, b)
-        assert sp.contains(b)
+@pytest.mark.parametrize("sig,q", [
+    (Signature(3, 1, 2), 2), (Signature(6, 1, 3), 2), (Signature(4, 1, 3), 3),
+    (Signature(5, 1, 3), 3), (Signature(6, 2, 5), 3), (Signature(20, 5, 17), 4),
+])
+def test_solution_space_combinations_vanish(sig, q):
+    """Random combinations over GF(q^2) and GF(q^4) lie in the space and
+    pull back to the zero form."""
+    sp = solution_space(sig, q)
+    rng = random.Random(sig.d * q)
+    for fld in (gf.gfq2(q), gf.gf_ext(q, 2)):
+        for _ in range(10):
+            B = sp.combination([rng.randrange(fld.order) for _ in range(sp.dim)],
+                               fld)
+            assert sp.contains(B)
+            assert expand_form(sig, q, B) == {}
 
 
 def test_exists_invertible_cases():

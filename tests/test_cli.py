@@ -270,6 +270,19 @@ def test_unknown_flag_is_refused_with_the_subcommand_usage(argv, usage, capsys):
                         f"{' '.join(argv[-2:])}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "count", "--q", "3"],
+    ["--samples", "5", "stabilizer", "--q", "3", "--case", "c3"],
+    ["--q", "3", "count"],
+])
+def test_flag_before_the_subcommand_is_refused_by_name(argv, capsys):
+    assert exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hermitia [-h]")
+    assert err.endswith(f"hermitia: error: unrecognized arguments: {argv[0]} "
+                        f"(flags go after the subcommand)\n")
+
+
 def test_mode_flag_is_rejected(capsys):
     argv = ["stabilizer", "--q", "3", "--case", "c3", "--mode", "full_small"]
     assert exit_code(argv) == 3

@@ -14,13 +14,13 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             _torus_cosets, act, aut_order, build_curve,
                             canonical_rep, case_target, count_Td, count_report,
                             diag_weight, diagonal_fixing_order,
-                            diagonal_generator, diagonal_solutions,
-                            diagonal_stabilizer, embed_qprime, inflate_case1,
-                            lucas_exponents, normalize_to_rep,
+                            diagonal_solutions, diagonal_stabilizer,
+                            embed_qprime, inflate_case1, lucas_exponents,
+                            nondiagonal_excluded, normalize_to_rep,
                             pairwise_equivalence,
                             proportional, q2_lambda_member,
-                            q2_parameter_matrices, span_escape_test, stab_order,
-                            stabilizer_search, star_order, star_positions,
+                            q2_parameter_matrices, stab_order,
+                            stabilizer_search, star_positions,
                             sympow, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
@@ -606,19 +606,11 @@ def test_stabilizer_c2_q4_matches_prediction():
     (CASE_C3, 3), (CASE_C3, 5), (CASE_C3, 7), (CASE_C2, 4),
 ])
 def test_generator_order_certificate_matches_power_walk_oracle(case, q):
-    """The order of the one generator star against the oracle that walks
-    the powers of every element; a planted non-generator, the generator's
-    square, fails the certificate whenever the order is even."""
+    """The one walk over the generator's powers reports a cyclic group; the
+    oracle that walks the powers of every element agrees."""
     rep = stabilizer_search(case, q, samples=0)
-    big = embed_qprime(canonical_rep(case, q), case, q).lift_to(rep.field)
-    gen = diagonal_generator(big)
-    assert gen.key() in {e.key() for e in rep.elements}
-    assert rep.cyclic == _group_is_cyclic(rep.elements)
-    assert rep.cyclic and star_order(gen) == rep.order
-    if rep.order % 2 == 0:
-        square = gen.mul(gen)
-        assert star_order(square) == rep.order // 2
-        assert star_order(square) != len(rep.elements)
+    assert rep.order == len(rep.elements)
+    assert rep.cyclic and _group_is_cyclic(rep.elements)
 
 
 @pytest.mark.parametrize("case,q,m", [
@@ -737,24 +729,28 @@ def test_lucas_exponents_are_the_binomials_nonzero_mod_p():
                                              if math.comb(n, k) % p}
 
 
-@pytest.mark.parametrize("case,q", [
-    (CASE_C2, 2), (CASE_C2, 4), (CASE_C2, 8), (CASE_C3, 3), (CASE_C3, 5),
-    (CASE_C3, 7), (CASE_C3, 9), (CASE_C3, 25),
-])
+_C2_Q = (2, 4, 8, 16, 32, 64)
+_C3_Q = (3, 5, 7, 9, 25, 11, 13, 17, 19, 23, 27, 29, 31, 37, 41, 43, 47, 49)
+
+
+@pytest.mark.parametrize("case,q", [(CASE_C2, q) for q in _C2_Q]
+                         + [(CASE_C3, q) for q in _C3_Q])
 def test_span_escape_rejects_every_nondiagonal_shape_for_c2_c3(case, q):
-    """Full rows 0 and d reach column q and an anti-diagonal g moves row j
-    to d - j, neither a star; a diagonal g is never rejected."""
+    """Both facts of the proof in nondiagonal_excluded, c2 at q <= 64 and c3
+    at q <= 49: t^q, not a star, is in the support of the full rows 0 and
+    d, and an anti-diagonal g moves row j to d - j, not a star either."""
     M = embed_qprime(case_target(case, q), case, q)
-    escapes = span_escape_test(M)
-    for g in [(1, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
-              (1, 1, 1, 0), (0, 1, 1, 0)]:
-        assert escapes(*g)
-    assert not escapes(1, 0, 0, 1)
+    d, j = M.n - 1, star_positions(case, q)[2]
+    stars = set(star_positions(case, q))
+    assert q in lucas_exponents(d, M.field.p) and q not in stars
+    assert d - j == (q - 1 if case == CASE_C2 else (q - 1) // 2)
+    assert d - j not in stars
+    assert nondiagonal_excluded(M)
 
 
 def _filter_probes(M, rng, count):
-    """Invertible g of every shape the filter branches on: random, upper
-    and lower triangular, anti-diagonal, and the diag(x^k step, 1) of M's own
+    """Invertible g of every non-diagonal shape: random, upper and lower
+    triangular and anti-diagonal; then the diag(x^k step, 1) of M's own
     diagonal stabilizer."""
     f = M.field
     unit = lambda: rng.randrange(1, f.order)  # noqa: E731
@@ -770,55 +766,66 @@ def _filter_probes(M, rng, count):
     return [g for g in probes if g.det()]
 
 
+def _is_diagonal(g):
+    return not g.data[0][1] and not g.data[1][0]
+
+
 @pytest.mark.parametrize("case,q,m", [
     (CASE_C3, 3, 1), (CASE_C3, 3, 3), (CASE_C2, 4, 1), (CASE_C3, 5, 1),
 ])
 def test_span_escape_rejects_only_non_stabilizer_g(case, q, m):
     """Differential test of the support-row lemma over GF(9), GF(3^6),
-    GF(16) and GF(25): every g the filter rejects has act(M, g) not
-    proportional to M, and the diagonal stabilizer's own elements, which
-    are hits, all pass the filter."""
+    GF(16) and GF(25): the form is excluded, every non-diagonal g has
+    act(M, g) not proportional to M, and the diagonal stabilizer's own
+    elements are hits."""
     M = embed_qprime(canonical_rep(case, q), case, q).lift_to(gf.gf_ext(q, m))
-    escapes = span_escape_test(M)
-    rejected = hits = 0
+    assert nondiagonal_excluded(M)
+    nondiagonal = hits = 0
     for g in _filter_probes(M, random.Random(q * m), 60):
         hit = proportional(act(M, g), M) is not None
-        if escapes(*g.data[0], *g.data[1]):
+        if not _is_diagonal(g):
             assert not hit
-            rejected += 1
+            nondiagonal += 1
         hits += hit
-    assert rejected and hits
+    assert nondiagonal and hits
 
 
 @pytest.mark.parametrize("case,fixing", [(CASE_C3, 2), (CASE_C1, 16)])
 def test_span_escape_over_all_of_pgl2_gf9(case, fixing):
-    """Every element of PGL2(GF(9)) at q = 3: no hit is rejected, including
-    the 14 non-diagonal elements fixing the c1 form."""
+    """Every element of PGL2(GF(9)) at q = 3: the c3 form is excluded and
+    its hits are diagonal; the c1 form is not, and 14 of its 16 hits lie off
+    the diagonal."""
     M = embed_qprime(canonical_rep(case, 3), case, 3)
-    escapes = span_escape_test(M)
-    hits = 0
+    excluded = nondiagonal_excluded(M)
+    hits = nondiagonal_hits = 0
     for g in _pgl2_elements(M.field):
-        hit = proportional(act(M, g), M) is not None
-        assert not (hit and escapes(*g.data[0], *g.data[1]))
-        hits += hit
+        if proportional(act(M, g), M) is not None:
+            hits += 1
+            nondiagonal_hits += not _is_diagonal(g)
     assert hits == fixing
+    assert excluded == (case == CASE_C3)
+    assert nondiagonal_hits == (0 if excluded else 14)
 
 
 def test_span_escape_refuses_forms_outside_the_lemma():
     M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
     singular = BigForm(M.case, M.q, M.n, M.field, {(0, 5): 1, (5, 0): 1})
     with pytest.raises(OrbitError, match="invertible core"):
-        span_escape_test(singular)
+        nondiagonal_excluded(singular)
     off_stars = BigForm(M.case, M.q, M.n, M.field, {**M.cells, (1, 1): 1})
     with pytest.raises(OrbitError, match="on the stars"):
-        span_escape_test(off_stars)
+        nondiagonal_excluded(off_stars)
 
 
 @pytest.mark.parametrize("case,q", [(CASE_C2, 4), (CASE_C3, 3), (CASE_C3, 5)])
 def test_sampled_stabilizer_needs_no_dense_act(case, q, monkeypatch):
-    """For c2/c3 the filter rejects every default sample before act."""
-    calls, real = [], orbit.act
-    monkeypatch.setattr(orbit, "act", lambda M, g: calls.append(g) or real(M, g))
+    """The default samples cost no act, no proportional and no per-sample
+    verdict: nondiagonal_excluded decides once per form."""
+    calls = []
+    for name in ("act", "proportional", "nondiagonal_excluded"):
+        real = getattr(orbit, name)
+        monkeypatch.setattr(orbit, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
     rep = stabilizer_search(case, q)
     assert rep.nondiagonal_samples == 10 ** 4 and rep.nondiagonal_hits == 0
-    assert calls == []
+    assert calls == ["nondiagonal_excluded"]
