@@ -730,7 +730,7 @@ def test_lucas_exponents_are_the_binomials_nonzero_mod_p():
 
 
 _C2_Q = (2, 4, 8, 16, 32, 64)
-_C3_Q = (3, 5, 7, 9, 25, 11, 13, 17, 19, 23, 27, 29, 31, 37, 41, 43, 47, 49)
+_C3_Q = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 
 
 @pytest.mark.parametrize("case,q", [(CASE_C2, q) for q in _C2_Q]
@@ -740,8 +740,8 @@ def test_span_escape_rejects_every_nondiagonal_shape_for_c2_c3(case, q):
     at q <= 49: t^q, not a star, is in the support of the full rows 0 and
     d, and an anti-diagonal g moves row j to d - j, not a star either."""
     M = embed_qprime(case_target(case, q), case, q)
-    d, j = M.n - 1, star_positions(case, q)[2]
-    stars = set(star_positions(case, q))
+    pos = star_positions(case, q)
+    d, j, stars = M.n - 1, pos[2], set(pos)
     assert q in lucas_exponents(d, M.field.p) and q not in stars
     assert d - j == (q - 1 if case == CASE_C2 else (q - 1) // 2)
     assert d - j not in stars
