@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import gf
 from .gf import Field
@@ -545,11 +544,6 @@ def _signed_permutation_cycles(M: Mat):
     return cycles
 
 
-def _solve_fixed_cell(fld: Field, value: int, q: int) -> Optional[int]:
-    roots = fld.power_roots(value, q + 1)
-    return roots[0] if roots else None
-
-
 def _solve_three_cycle(fld: Field, values, q: int):
     """G block (3x3) with twisted Gram form equal to the cyclic matrix carrying
     `values` on the cycle cells.
@@ -621,8 +615,8 @@ def _untwist(M: Mat, q: int, max_ext: int):
         for idx, values in cycles:
             vals = [emb(v) for v in values]
             if len(idx) == 1:
-                c = _solve_fixed_cell(fld, vals[0], q)
-                block = None if c is None else Mat(fld, [[c]])
+                roots = fld.power_roots(vals[0], q + 1)
+                block = Mat(fld, [roots[:1]]) if roots else None
             elif len(idx) == 3:
                 block = _solve_three_cycle(fld, vals, q)
             else:
@@ -697,7 +691,7 @@ class StabilizerReport:
     cyclic: bool
     predicted_order: int
     nondiagonal_samples: int = 0
-    nondiagonal_hits: int = 0
+    nondiagonal_hits: ClassVar[int] = 0  # by nondiagonal_excluded
 
     @property
     def matches_prediction(self) -> bool:
@@ -755,13 +749,9 @@ def nondiagonal_excluded(M: BigForm) -> bool:
     and with c e != 0 so has row d.  An invertible g with a b = c e = 0 is
     diagonal or anti-diagonal, whose row r is the one monomial at column
     d - r.  So every non-diagonal g is excluded when lucas_exponents(d, p)
-    leaves S and some d - r, r in S, is not in S; the verdict reads only
-    S, d and p.
-
-    For c2 and c3 it is True at every q.  There d = q k with k prime to p,
-    so q is in lucas_exponents(d, p) but is not a star; and d - j is q - 1
-    (c2) or (q - 1)/2 (c3), not a star either.  Raises OrbitError if M
-    leaves S x S or its core is singular, where the lemma does not apply."""
+    leaves S and some d - r, r in S, is not in S: support_rows_exclude(d,
+    S, p), which reads nothing else.  Raises OrbitError if M leaves S x S
+    or its core is singular, where the lemma does not apply."""
     f = M.field
     pos = star_positions(M.case, M.q)
     stars = set(pos)
@@ -770,21 +760,29 @@ def nondiagonal_excluded(M: BigForm) -> bool:
     core = Mat(f, [[M.cells.get((r, c), 0) for c in pos] for r in pos])
     if core.det() == 0:
         raise OrbitError("internal: support-row test needs an invertible core")
-    d = M.n - 1
-    return (not lucas_exponents(d, f.p) <= stars
-            and any(d - r not in stars for r in pos))
+    return support_rows_exclude(M.n - 1, pos, f.p)
 
 
-def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
-                      seed: int = 1) -> StabilizerReport:
+def support_rows_exclude(d: int, stars, p: int) -> bool:
+    """nondiagonal_excluded's verdict: lucas_exponents(d, p) leaves the stars
+    S, and so does d - r for some star r.  True for c2 and c3 at every q:
+    d = q k with k prime to p puts q, not a star, in lucas_exponents(d, p);
+    and d - j is q - 1 (c2) or (q - 1)/2 (c3), not a star either."""
+    stars = set(stars)
+    return (not lucas_exponents(d, p) <= stars
+            and any(d - r not in stars for r in stars))
+
+
+def stabilizer_search(case: str, q: int,
+                      samples: int = 10 ** 4) -> StabilizerReport:
     """Projective g with t(phi(g)) M phi(g)^(q) = lambda M for the standard
     representative M, against the closed-form order.  The diagonal part is
     exact over GF(q^6), which holds every diagonal solution ratio: one gcd
     and one walk (diagonal_stabilizer).  nondiagonal_excluded proves once
     that no non-diagonal g over any field fixes M, as it does for every
-    c2/c3 representative, so a False verdict is an internal OrbitError.  The
-    seeded draws only count the non-diagonal samples the report names, and
-    nondiagonal_hits is 0 by that proof."""
+    c2/c3 representative, so a False verdict is an internal OrbitError.
+    Nothing is drawn: the report echoes samples as nondiagonal_samples, and
+    nondiagonal_hits is 0 by that proof, for any samples >= 0."""
     if case not in (CASE_C2, CASE_C3):
         raise OrbitError("stabilizer scans cover the c2/c3 families")
     if samples < 0:
@@ -795,13 +793,5 @@ def stabilizer_search(case: str, q: int, samples: int = 10 ** 4,
     elems = diagonal_stabilizer(big)
     if not nondiagonal_excluded(big):
         raise OrbitError("internal: the support rows leave a non-diagonal g open")
-    rng = random.Random(seed)
-    done = 0
-    while done < samples:
-        a, b = rng.randrange(fld.order), rng.randrange(fld.order)
-        c, e = rng.randrange(fld.order), rng.randrange(fld.order)
-        if (b == 0 and c == 0) or fld.sub(fld.mul(a, e), fld.mul(b, c)) == 0:
-            continue
-        done += 1
     return StabilizerReport(case, q, fld, elems, len(elems), True,
                             stab_order(case, q), samples)

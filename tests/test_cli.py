@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,38 @@ def test_build_with_surface_file(tmp_path, capsys):
     assert json.loads(out)["on_surface"]
 
 
+def test_build_refuses_a_surface_over_another_field_before_building_it(
+        tmp_path, capsys):
+    """GF(2^89) is refused from its (p, m) alone; building it would factor
+    2^89 - 1 by trial division."""
+    big = {"p": 2, "m": 89, "modulus": [1] + [0] * 37 + [1] + [0] * 50 + [1]}
+    one, zero = [1] + [0] * 88, [0] * 89
+    entries = [one if k % 5 == 0 else zero for k in range(16)]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"field": big, "rows": 4, "cols": 4,
+                                "entries": entries}))
+    t0 = time.perf_counter()
+    assert exit_code(["build", "--q", "2", "--case", "c1",
+                      "--surface", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == (
+        f"{path} is not a valid surface file: MatError: "
+        "surface field is not GF(q^2) = GF(2^2)\n")
+
+
+@pytest.mark.parametrize("case", ["c1", "c3"])
+def test_build_takes_a_surface_with_another_modulus_of_gf_q2(
+        case, tmp_path, capsys):
+    fld = gf.make_field(3, 2, (2, 1, 1))  # x^2 + x + 2, not the default
+    assert fld is not gf.gfq2(3)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(Mat.identity(fld, 4).to_json()))
+    code, out = run(["build", "--q", "3", "--case", case,
+                     "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["on_surface"]
+
+
 def test_build_rejects_non_hermitian_surface(tmp_path, capsys):
     f9 = gf.gfq2(3)
     u = f9.element([0, 1])
@@ -141,6 +174,18 @@ def test_stabilizer_c2_q4_matches(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 65 and doc["match"]
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--q", "3", "--case", "c3"], 2, "stabilizer order 14 != predicted_order 7\n"),
+    (["--q", "4", "--case", "c2"], 0, ""),
+])
+def test_stabilizer_names_its_exit_reason(argv, code, err, capsys):
+    """Under a second whatever the sample count: nothing is drawn."""
+    t0 = time.perf_counter()
+    assert main(["stabilizer", "--samples", "1000000000000"] + argv) == code
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == err
 
 
 def test_stabilizer_parity_error(capsys):

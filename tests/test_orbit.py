@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             proportional, q2_lambda_member,
                             q2_parameter_matrices, stab_order,
                             stabilizer_search, star_positions,
+                            support_rows_exclude,
                             sympow, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
@@ -563,7 +565,7 @@ def test_stabilizer_c3_q3_exhaustive_diagonal():
     """The exact diagonal stabilizer over GF(3^6): exactly (q^3+1)/2 = 14
     projective elements, double the closed-form prediction for q = 3 mod 4.
     The group is cyclic and closed."""
-    rep = stabilizer_search(CASE_C3, 3, samples=300, seed=7)
+    rep = stabilizer_search(CASE_C3, 3, samples=300)
     assert rep.order == 14
     assert rep.cyclic
     assert rep.predicted_order == 7
@@ -594,12 +596,24 @@ def test_stabilizer_c3_q3_full_gl2_over_gf9():
 
 
 def test_stabilizer_c2_q4_matches_prediction():
-    rep = stabilizer_search(CASE_C2, 4, samples=300, seed=3)
+    rep = stabilizer_search(CASE_C2, 4, samples=300)
     assert rep.order == 65
     assert rep.cyclic
     assert rep.predicted_order == 65
     assert rep.matches_prediction
     assert rep.nondiagonal_hits == 0
+
+
+def test_stabilizer_sample_count_costs_nothing():
+    """Nothing is drawn: 10^12 samples give the samples=0 report, apart
+    from the echoed count, at once."""
+    none = stabilizer_search(CASE_C3, 3, samples=0).to_json()
+    t0 = time.perf_counter()
+    many = stabilizer_search(CASE_C3, 3, samples=10 ** 12).to_json()
+    assert time.perf_counter() - t0 < 0.25
+    assert (none.pop("nondiagonal_samples"), many.pop("nondiagonal_samples")) \
+        == (0, 10 ** 12)
+    assert many == none
 
 
 @pytest.mark.parametrize("case,q", [
@@ -805,6 +819,20 @@ def test_span_escape_over_all_of_pgl2_gf9(case, fixing):
     assert hits == fixing
     assert excluded == (case == CASE_C3)
     assert nondiagonal_hits == (0 if excluded else 14)
+
+
+@pytest.mark.parametrize("stars,p,lucas,anti,verdict", [
+    ((0, 1, 5, 6), 2, True, False, False),
+    ((0, 1, 2, 4), 2, False, True, False),
+    ((0, 5, 17, 20), 2, True, True, True),
+], ids=["6,1,5", "4,1,2", "20,5,17"])
+def test_support_rows_verdict_needs_both_clauses(stars, p, lucas, anti, verdict):
+    """(6,1,5), (4,1,2) and (20,5,17) at p = 2: only the Lucas clause, only
+    the anti-diagonal clause, and both.  The verdict is their conjunction."""
+    d = stars[-1]
+    assert (not lucas_exponents(d, p) <= set(stars)) == lucas
+    assert any(d - r not in stars for r in stars) == anti
+    assert support_rows_exclude(d, stars, p) == verdict
 
 
 def test_span_escape_refuses_forms_outside_the_lemma():
