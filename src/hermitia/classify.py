@@ -3,9 +3,14 @@ degree bound, find every (d, i, j) that admits an invertible 4x4 form matrix
 B with the pulled-back form vanishing identically, and check each admissible
 solution space against the three expected shapes.
 
-The classifier is a brute-force oracle for fixed q.  Working over the
-algebraic closure is reduced to two exact finite computations: an invertible
-witness certifies "yes", and a vanishing-determinant certificate on a
+Only signatures whose t-exponents collide are visited: two cells share an
+exponent exactly when one positive difference of (0, i, j, d) is q times
+another, and without such a pair the space is zero (the lemma in
+enumerate_admissible).  The others are counted, not visited: there are
+sum over d of (N(d) + phi(d)/2) / 2 canonical signatures with
+N(d) = sum over g | d of mu(g) C(d/g - 1, 2).  Working over the algebraic
+closure is reduced to two exact finite computations: an invertible witness
+certifies "yes", and a vanishing-determinant certificate on a
 5-point-per-variable grid certifies "no" (det is a degree-4 polynomial in
 the free coefficients, so per-variable degree is at most 4 and a full grid
 of 5 values per variable decides identical vanishing).
@@ -21,7 +26,8 @@ from typing import Optional
 from . import gf
 from .matff import Mat
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature, SignatureError,
-                    canonical_signature, case_signature, exponent_matrix)
+                    canonical_signature, case_signature, expand_form,
+                    exponent_matrix)
 
 _WITNESS_SEARCH_BITS = 24   # exhaustive witness hunt over GF(q^2)^dim up to 2^24 vectors
 _GRID_DIM_LIMIT = 10        # 5^dim grid guard; never hit at desk scale
@@ -51,16 +57,7 @@ class SolutionSpace:
 
     def contains(self, B: Mat) -> bool:
         """Exact membership; works over any extension of the base field."""
-        f = B.field
-        if any(B.data[l][m] for (l, m) in self.forced_zero):
-            return False
-        for group in self.groups:
-            acc = 0
-            for (l, m) in group:
-                acc = f.add(acc, B.data[l][m])
-            if acc:
-                return False
-        return True
+        return not expand_form(self.sig, self.q, B)
 
     def combination(self, coeffs, fld=None) -> Mat:
         """B with the k-th free cell of each group set from coeffs (the group
@@ -82,9 +79,8 @@ class SolutionSpace:
 def solution_space(sig: Signature, q: int) -> SolutionSpace:
     E = exponent_matrix(sig, q)
     by_value = {}
-    for l in range(4):
-        for m in range(4):
-            by_value.setdefault(E[l][m], []).append((l, m))
+    for l, m in itertools.product(range(4), repeat=2):
+        by_value.setdefault(E[l][m], []).append((l, m))
     forced = frozenset(cells[0] for cells in by_value.values() if len(cells) == 1)
     groups = tuple(tuple(cells) for _, cells in sorted(by_value.items())
                    if len(cells) >= 2)
@@ -99,10 +95,6 @@ class InvertibleVerdict:
     checked: int = 0
 
 
-def _active_cells(space: SolutionSpace):
-    return {cell for group in space.groups for cell in group}
-
-
 def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     """Decide whether the span contains an invertible matrix over the
     algebraic closure, exactly in both directions: witness search over
@@ -112,13 +104,11 @@ def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     dim = space.dim
     if dim == 0:
         return InvertibleVerdict(False, "empty-space")
-    active = _active_cells(space)
-    for l in range(4):
-        if not any((l, m) in active for m in range(4)):
-            return InvertibleVerdict(False, "zero-row")
-    for m in range(4):
-        if not any((l, m) in active for l in range(4)):
-            return InvertibleVerdict(False, "zero-column")
+    active = [cell for group in space.groups for cell in group]
+    if len({l for l, _ in active}) < 4:
+        return InvertibleVerdict(False, "zero-row")
+    if len({m for _, m in active}) < 4:
+        return InvertibleVerdict(False, "zero-column")
 
     checked = 0
     q2 = space.field.order
@@ -141,31 +131,21 @@ def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     return InvertibleVerdict(False, "grid-certificate", None, checked)
 
 
-# ---------------------------------------------------------------------------
-# the three expected shapes
-# ---------------------------------------------------------------------------
+# -- the three expected shapes ------------------------------------------------
 
 def case1_shape(fld, a11, a12, a13, a21, a22, a23) -> Mat:
     """The degree-(q+1) shape with parameter rows (a11, a12, a13) and
     (a21, a22, a23)."""
     n = fld.neg
-    return Mat(fld, [
-        [0, a11, a12, a13],
-        [0, a21, a22, a23],
-        [n(a11), n(a12), n(a13), 0],
-        [n(a21), n(a22), n(a23), 0],
-    ])
+    return Mat(fld, [[0, a11, a12, a13], [0, a21, a22, a23],
+                     [n(a11), n(a12), n(a13), 0], [n(a21), n(a22), n(a23), 0]])
 
 
 def case23_shape(fld, b1, b2, b3) -> Mat:
     """The shape shared by the degree-q(q+1) and degree-q(q+1)/2 families."""
     n = fld.neg
-    return Mat(fld, [
-        [0, b1, 0, b2],
-        [0, 0, 0, b3],
-        [0, 0, n(b3), 0],
-        [n(b1), n(b2), 0, 0],
-    ])
+    return Mat(fld, [[0, b1, 0, b2], [0, 0, 0, b3], [0, 0, n(b3), 0],
+                     [n(b1), n(b2), 0, 0]])
 
 
 def case_shape_basis(case: str, q: int, fld=None):
@@ -173,21 +153,15 @@ def case_shape_basis(case: str, q: int, fld=None):
     including the extra zeros for q >= 3."""
     fld = fld or gf.gfq2(q)
     if case == CASE_C1:
-        params = [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
-                  (0, 0, 0, 0, 0, 1)]
-        if q == 2:
-            params += [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)]
-        return [case1_shape(fld, *p) for p in params]
-    params = [(1, 0, 0), (0, 0, 1)]
-    if q == 2:
-        params.append((0, 1, 0))
-    return [case23_shape(fld, *p) for p in params]
+        shape, size, free = case1_shape, 6, [0, 2, 3, 5] + [1, 4] * (q == 2)
+    else:
+        shape, size, free = case23_shape, 3, [0, 2] + [1] * (q == 2)
+    return [shape(fld, *(int(k == u) for k in range(size))) for u in free]
 
 
 def case_shape_check(B: Mat, case: str, q: int) -> bool:
     """Support pattern, sign ties and side conditions of one case."""
-    f = B.field
-    d = B.data
+    f, d = B.field, B.data
     if B.rows != 4 or B.cols != 4:
         return False
     if case == CASE_C1:
@@ -203,17 +177,10 @@ def case_shape_check(B: Mat, case: str, q: int) -> bool:
         return Mat(f, [d[0], d[1]]).rank() == 2
     if case in (CASE_C2, CASE_C3):
         b1, b2, b3 = d[0][1], d[0][3], d[1][3]
-        if b1 == 0 or b3 == 0:
-            return False
-        if q >= 3 and b2 != 0:
+        if b1 == 0 or b3 == 0 or (q >= 3 and b2 != 0):
             return False
         return B == case23_shape(f, b1, b2, b3)
     raise ClassifyError(f"unknown case {case!r}")
-
-
-def _conjugate_by_reversal(B: Mat) -> Mat:
-    """J B J for the anti-diagonal permutation J (reverse rows and columns)."""
-    return Mat(B.field, [list(reversed(row)) for row in reversed(B.data)])
 
 
 def expected_cases(q: int):
@@ -237,7 +204,8 @@ def match_case_shape(space: SolutionSpace, case: str, q: int,
     index reversal when the canonical signature is the flipped label)."""
     shape = case_shape_basis(case, q, space.field)
     if flipped:
-        shape = [_conjugate_by_reversal(b) for b in shape]
+        # J B J for the anti-diagonal permutation J
+        shape = [Mat(b.field, [row[::-1] for row in b.data[::-1]]) for b in shape]
     if space.dim != len(shape):
         return False
     return all(space.contains(b) for b in shape)
@@ -252,10 +220,10 @@ class AdmissibleEntry:
     witness: Mat
 
     def to_json(self) -> dict:
-        out = {"sig": list(self.sig.astuple()), "dim": self.dim,
-               "case": self.case, "witness": self.witness.to_json()}
-        out["case_sig"] = list(self.case_sig.astuple()) if self.case_sig else None
-        return out
+        label = self.case_sig
+        return {"sig": list(self.sig.astuple()), "dim": self.dim,
+                "case": self.case, "witness": self.witness.to_json(),
+                "case_sig": list(label.astuple()) if label else None}
 
 
 @dataclass
@@ -288,48 +256,80 @@ def predicted_signatures(q: int, d_max: int):
                   if label.d <= d_max)
 
 
-def default_d_max(q: int) -> int:
-    # comfortably past the largest expected signature degree
-    return (3 * (q + 1) * q + 1) // 2
+# i, j, d, j - i, d - i, d - j as coefficients on (j, d, i)
+_DIFFERENCES = ((0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1),
+                (-1, 1, 0))
 
 
-def canonical_signatures_upto(d_max: int):
-    """The fixed points of canonical_signature with d <= d_max: (d, i, j) is
-    canonical exactly when gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i)."""
+def collision_signatures(q: int, d_max: int):
+    """In order, the canonical (d, i, j), d <= d_max, where a difference x of
+    the exponents is q times another, y (the lemma in enumerate_admissible).
+    Canonical: gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i), i.e. j <= d - i.
+    Each pair (x, y) reads a*j = b*d + c*i: one j per (d, i) if a != 0, every
+    j or none if a == 0 (d = q*i, for one)."""
+    planes = [(ax - q * ay, q * dy - dx, q * iy - ix)
+              for (ax, dx, ix), (ay, dy, iy)
+              in itertools.permutations(_DIFFERENCES, 2)]
     for d in range(3, d_max + 1):
-        for i in range(1, d - 1):
-            for j in range(i + 1, d):
-                if (i, j) <= (d - j, d - i) and math.gcd(d, i, j) == 1:
+        for i in range(1, (d + 1) // 2):
+            js = set()
+            for a, b, c in planes:
+                if a:
+                    j, r = divmod(b * d + c * i, a)
+                    if not r:
+                        js.add(j)
+                elif b * d + c * i == 0:
+                    js.update(range(i + 1, d - i + 1))
+            for j in sorted(js):
+                if i < j <= d - i and math.gcd(d, i, j) == 1:
                     yield Signature(d, i, j)
 
 
+def canonical_signature_count(d_max: int) -> int:
+    """The number of canonical signatures with d <= d_max: the sum over d of
+    (N(d) + phi(d)/2) / 2.  N(d) = sum over g | d of mu(g) C(d/g - 1, 2)
+    counts the i < j < d with gcd(d, i, j) = 1, and the flip pairs them off
+    but for the phi(d)/2 with i + j = d.  N and phi invert, divisor by
+    divisor, C(d - 1, 2) and d: the sums over e | d of N(e) and phi(e)."""
+    pairs = [0] + [math.comb(d - 1, 2) for d in range(1, d_max + 1)]
+    phi = list(range(d_max + 1))
+    for d in range(1, d_max + 1):
+        for k in range(2 * d, d_max + 1, d):
+            pairs[k] -= pairs[d]
+            phi[k] -= phi[d]
+    return sum((pairs[d] + phi[d] // 2) // 2 for d in range(3, d_max + 1))
+
+
 def enumerate_admissible(q: int, d_max: Optional[int] = None) -> ClassificationReport:
-    """Scan every canonical signature with d <= d_max, keep those whose
+    """Classify every canonical signature with d <= d_max: keep those whose
     solution space contains an invertible element, and pattern-match each
-    admissible space against the expected shapes."""
+    admissible space against the expected shapes.
+
+    Lemma: cells (l, m) != (l', m') share a t-exponent exactly when
+    e_l - e_l' = q (e_m' - e_m), e = (0, i, j, d).  Both sides are nonzero,
+    so a positive difference x of the exponents is q times another, y, both
+    from {i, j, d, j - i, d - i, d - j}; conversely such a pair makes two
+    cells collide.  Without one all 16 exponents are distinct, dim = 0 and
+    exists_invertible answers "empty-space": only collision_signatures are
+    visited, and canonical_signature_count gives signatures_scanned."""
     if not gf.is_prime_power(q):
         raise ClassifyError(f"q={q} is not a prime power")
     if d_max is None:
-        d_max = default_d_max(q)
+        d_max = (3 * (q + 1) * q + 1) // 2  # past every expected degree
     if d_max < 3:
         raise ClassifyError("d_max must be at least 3")
     expected = expected_cases(q)
-    scanned = 0
     admissible = []
-    for sig in canonical_signatures_upto(d_max):
-        scanned += 1
+    for sig in collision_signatures(q, d_max):
         space = solution_space(sig, q)
         verdict = exists_invertible(space)
         if not verdict.invertible:
             continue
-        entry = AdmissibleEntry(sig, None, space.dim, "unexpected",
-                                verdict.witness)
-        if sig in expected:
-            roman, case, label, flipped = expected[sig]
-            if match_case_shape(space, case, q, flipped):
-                entry = AdmissibleEntry(sig, label, space.dim, roman,
-                                        verdict.witness)
-        admissible.append(entry)
-    admissible.sort(key=lambda e: e.sig)
-    stats = {"signatures_scanned": scanned, "admissible": len(admissible)}
+        roman, case, label, flipped = expected.get(sig, (None,) * 4)
+        if case is None or not match_case_shape(space, case, q, flipped):
+            roman, label = "unexpected", None
+        admissible.append(AdmissibleEntry(sig, label, space.dim, roman,
+                                          verdict.witness))
+    stats = {"signatures_scanned": canonical_signature_count(d_max),
+             "admissible": len(admissible)}
     return ClassificationReport(q, d_max, admissible, stats)

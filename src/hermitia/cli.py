@@ -156,7 +156,17 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
     doc["predicted"] = [list(s.astuple())
                         for s in predicted_signatures(cfg.q, report.d_max)]
     _emit(doc, cfg)
-    return EXIT_OK if report.matches_prediction else EXIT_INCONSISTENT
+    if report.matches_prediction:
+        return EXIT_OK
+    admissible = [entry["sig"] for entry in doc["admissible"]]
+    unexpected = [entry["sig"] for entry in doc["admissible"]
+                  if entry["case"] == "unexpected"]
+    reasons = [f"unexpected signatures {unexpected}"] if unexpected else []
+    if admissible != doc["predicted"]:
+        reasons.append(f"admissible {admissible} != "
+                       f"predicted {doc['predicted']}")
+    print("; ".join(reasons), file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 def cmd_count(cfg: argparse.Namespace) -> int:
@@ -254,7 +264,13 @@ def cmd_reps_q2(cfg: argparse.Namespace) -> int:
         "all_pairwise_inequivalent": not any(any(row) for row in matrix),
     }
     _emit(doc, cfg)
-    return EXIT_OK if doc["all_pairwise_inequivalent"] else EXIT_INCONSISTENT
+    if doc["all_pairwise_inequivalent"]:
+        return EXIT_OK
+    i, j = next((i, j) for i in range(n) for j in range(n) if matrix[i][j])
+    names = doc["members"]
+    print(f"members {i} ({names[i]}) and {j} ({names[j]}) are equivalent",
+          file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 def main(argv=None) -> int:

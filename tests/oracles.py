@@ -8,18 +8,24 @@ the Jacobian minors (tetra.decide_smoothness).  These scans decide the same
 questions the slow way, one dense act or power walk per group element or
 one Jacobian rank per point of P^1, so the tests can check the fast paths
 on every field they can still reach.  The Hermitian splitting with a rank
-filter and the schoolbook polynomial product are references in the same
-sense.
+filter, the schoolbook polynomial product and the per-signature classify
+loop, which builds a solution space for every canonical signature where
+the package visits only those whose exponents collide, are references in
+the same sense.
 """
 
 import itertools
+import math
 
 from hermitia import gf
+from hermitia.classify import (AdmissibleEntry, ClassificationReport,
+                               exists_invertible, expected_cases,
+                               match_case_shape, solution_space)
 from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
                             twisted_gram)
 from hermitia.orbit import (OrbitError, StabilizerReport, act, proportional,
                             stab_order, star_positions, sympow)
-from hermitia.tetra import (SmoothnessReport, case_signature,
+from hermitia.tetra import (Signature, SmoothnessReport, case_signature,
                             defining_equations, eval_equation, jacobian_rank,
                             monomial_point, normalize_point)
 
@@ -238,3 +244,45 @@ def _poly_product(a, b, p):
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % p
     return tuple(out)
+
+
+# -- admissible signatures -----------------------------------------------------
+
+def canonical_signatures_upto(d_max: int):
+    """The fixed points of canonical_signature with d <= d_max: (d, i, j) is
+    canonical exactly when gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i)."""
+    for d in range(3, d_max + 1):
+        for i in range(1, d - 1):
+            for j in range(i + 1, d):
+                if (i, j) <= (d - j, d - i) and math.gcd(d, i, j) == 1:
+                    yield Signature(d, i, j)
+
+
+def exhaustive_reports(q: int, d_max: int) -> dict:
+    """{d: the report of classify.enumerate_admissible(q, d)} for every d from
+    3 to d_max, from one pass of the per-signature loop over
+    canonical_signatures_upto(d_max): a solution space, an invertibility
+    verdict and, when admissible, a shape match for every signature.  Every
+    d >= 3 has a canonical signature, (d, 1, 2), so every d gets a report."""
+    expected = expected_cases(q)
+    reports, admissible, scanned = {}, [], 0
+    for d, sigs in itertools.groupby(canonical_signatures_upto(d_max),
+                                     key=lambda sig: sig.d):
+        for sig in sigs:
+            scanned += 1
+            space = solution_space(sig, q)
+            verdict = exists_invertible(space)
+            if not verdict.invertible:
+                continue
+            entry = AdmissibleEntry(sig, None, space.dim, "unexpected",
+                                    verdict.witness)
+            if sig in expected:
+                roman, case, label, flipped = expected[sig]
+                if match_case_shape(space, case, q, flipped):
+                    entry = AdmissibleEntry(sig, label, space.dim, roman,
+                                            verdict.witness)
+            admissible.append(entry)
+        reports[d] = ClassificationReport(
+            q, d, list(admissible),
+            {"signatures_scanned": scanned, "admissible": len(admissible)})
+    return reports

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -6,12 +10,13 @@ from hermitia import gf
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
                             canonical_signature, expand_form,
                             is_identically_zero)
-from hermitia.classify import (ClassifyError, canonical_signatures_upto,
+from hermitia.classify import (ClassifyError, canonical_signature_count,
                                case_shape_basis, case_shape_check,
-                               enumerate_admissible, exists_invertible,
-                               expected_cases, predicted_signatures,
-                               solution_space)
+                               collision_signatures, enumerate_admissible,
+                               exists_invertible, expected_cases,
+                               predicted_signatures, solution_space)
 from matrices import mat_from_ints
+from oracles import canonical_signatures_upto, exhaustive_reports
 
 
 def test_solution_space_dims():
@@ -155,3 +160,46 @@ def test_canonical_predicate_matches_canonical_signature_fixed_points():
              if canonical_signature(d, i, j) == Signature(d, i, j)]
     assert len(fixed) == 14713
     assert list(canonical_signatures_upto(60)) == fixed
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_collision_signatures_are_the_nonzero_spaces(q):
+    """The lemma in enumerate_admissible: over every canonical signature
+    with d <= 60, the solution space is nonzero exactly at the signatures
+    collision_signatures yields, in the same order."""
+    nonzero = [sig for sig in canonical_signatures_upto(60)
+               if solution_space(sig, q).dim > 0]
+    assert list(collision_signatures(q, 60)) == nonzero
+
+
+def test_canonical_signature_count_matches_the_triple_loop():
+    per_degree = Counter(sig.d for sig in canonical_signatures_upto(150))
+    looped = list(accumulate(per_degree[d] for d in range(3, 151)))
+    assert [canonical_signature_count(d) for d in range(3, 151)] == looped
+    assert canonical_signature_count(108) == 86530
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_enumerate_admissible_matches_the_per_signature_loop(q):
+    rep = enumerate_admissible(q)
+    assert rep.to_json() == exhaustive_reports(q, rep.d_max)[rep.d_max].to_json()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumerate_admissible_matches_the_loop_at_every_d_max(q):
+    for d_max, oracle in exhaustive_reports(q, 40).items():
+        assert enumerate_admissible(q, d_max).to_json() == oracle.to_json()
+
+
+def test_enumerate_admissible_q13_pinned():
+    """Recorded once from oracles.exhaustive_reports(13, 273), which takes
+    about 14 s: 1,407,393 solution spaces against the 12,772 visited here."""
+    rep = enumerate_admissible(13)
+    assert rep.stats == {"signatures_scanned": 1407393, "admissible": 2}
+    assert [(e.sig.astuple(), e.case, e.dim,
+             e.case_sig.astuple()) for e in rep.admissible] == [
+        ((14, 1, 13), "I", 4, (14, 1, 13)), ((91, 6, 84), "III", 2, (91, 7, 85))]
+    assert rep.matches_prediction
+    text = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "dbe4c0918e4f5a97d964c8f417d87fe89d1afb8b46a5de332d2e46540d97b163")

@@ -82,6 +82,15 @@ def test_classify_q2_flags_surplus_family(capsys):
     assert not doc["matches_prediction"]
 
 
+def test_classify_names_its_exit_reason(capsys):
+    assert main(["classify", "--q", "2", "--max-d", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "unexpected signatures [[4, 1, 3]]; admissible [[3, 1, 2], [4, 1, 3], "
+        "[6, 1, 3]] != predicted [[3, 1, 2], [6, 1, 3]]\n")
+    assert main(["classify", "--q", "3", "--max-d", "12"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_build_c1_fermat(capsys):
     code, out = run(["build", "--q", "3", "--case", "c1", "--fermat"], capsys)
     assert code == 0
@@ -367,6 +376,17 @@ def test_reps_q2_with_lambda_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["all_pairwise_inequivalent"]
     assert len(doc["members"]) == 5   # 3 fixed + 2 lambdas
+
+
+def test_reps_q2_names_the_first_equivalent_pair(tmp_path, capsys):
+    path = tmp_path / "lams.json"
+    path.write_text(json.dumps([[1, 0], [0, 1], [1, 0]]))   # lambda = 1 twice
+    assert main(["reps-q2", "--lambdas-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["members"][3] == doc["members"][5] == "lambda-[1, 0]"
+    assert captured.err == (
+        "members 3 (lambda-[1, 0]) and 5 (lambda-[1, 0]) are equivalent\n")
 
 
 def test_out_file(tmp_path, capsys):

@@ -53,9 +53,11 @@ def test_cli_stdout(name, argv, code, capsys):
      "7bf197c2f75dbac16d79fcf063a300a3582b3d18c1c445a6c10a9dcb3d48f269"),
 ], ids=["c2_q4", "c3_q3"])
 def test_sampled_stabilizer_stdout_digest(argv, code, sha256, capsys):
-    """The default 10^4 seeded non-diagonal samples, pinned by the digest of
-    stdout as written while every sample still went through a dense act:
-    the sampled path must draw the same g and reach the same counts."""
+    """The report at the default --samples 10^4, pinned by the digest of
+    stdout as written when 10^4 seeded g were drawn and each went through a
+    dense act.  Nothing is drawn now (orbit.nondiagonal_excluded decides the
+    non-diagonal part), so the report, which echoes the sample count and
+    reports no non-diagonal hit, must still match byte for byte."""
     assert main(argv) == code
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == sha256
