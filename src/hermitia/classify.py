@@ -3,9 +3,9 @@ degree bound, find every (d, i, j) that admits an invertible 4x4 form matrix
 B with the pulled-back form vanishing identically, and check each admissible
 solution space against the three expected shapes.
 
-Only signatures whose t-exponents collide are visited: two cells share an
-exponent exactly when one positive difference of (0, i, j, d) is q times
-another, and without such a pair the space is zero (the lemma in
+Only a fixed list is visited: the canonical points where two collision
+planes x = q*y cross (x, y differences of (0, i, j, d)), at most one per
+pair of the 30 planes, none past d = (q + 1)^2 (the lemma in
 enumerate_admissible).  The others are counted, not visited: there are
 sum over d of (N(d) + phi(d)/2) / 2 canonical signatures with
 N(d) = sum over g | d of mu(g) C(d/g - 1, 2).  Working over the algebraic
@@ -262,27 +262,23 @@ _DIFFERENCES = ((0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1),
 
 
 def collision_signatures(q: int, d_max: int):
-    """In order, the canonical (d, i, j), d <= d_max, where a difference x of
-    the exponents is q times another, y (the lemma in enumerate_admissible).
-    Canonical: gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i), i.e. j <= d - i.
-    Each pair (x, y) reads a*j = b*d + c*i: one j per (d, i) if a != 0, every
-    j or none if a == 0 (d = q*i, for one)."""
-    planes = [(ax - q * ay, q * dy - dx, q * iy - ix)
-              for (ax, dx, ix), (ay, dy, iy)
-              in itertools.permutations(_DIFFERENCES, 2)]
-    for d in range(3, d_max + 1):
-        for i in range(1, (d + 1) // 2):
-            js = set()
-            for a, b, c in planes:
-                if a:
-                    j, r = divmod(b * d + c * i, a)
-                    if not r:
-                        js.add(j)
-                elif b * d + c * i == 0:
-                    js.update(range(i + 1, d - i + 1))
-            for j in sorted(js):
-                if i < j <= d - i and math.gcd(d, i, j) == 1:
-                    yield Signature(d, i, j)
+    """Sorted, the canonical (d, i, j), d <= d_max, where two distinct
+    collision planes cross (the lemma in enumerate_admissible).  The pair
+    (x, y) of differences holds on the plane with normal x - q*y on (j, d, i);
+    two planes cross on the line through their normals' cross product, whose
+    one canonical point, if any, is the primitive multiple with d > 0 and
+    0 < i < j <= d - i.  A zero cross product means the planes coincide."""
+    normals = [tuple(a - q * b for a, b in zip(x, y))
+               for x, y in itertools.permutations(_DIFFERENCES, 2)]
+    points = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(normals, 2):
+        line = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        g = math.gcd(*line) * (1 if line[1] > 0 else -1)
+        if g:
+            j, d, i = (k // g for k in line)
+            if 0 < i < j <= d - i and d <= d_max:
+                points.add(Signature(d, i, j))
+    return sorted(points)
 
 
 def canonical_signature_count(d_max: int) -> int:
@@ -305,13 +301,26 @@ def enumerate_admissible(q: int, d_max: Optional[int] = None) -> ClassificationR
     solution space contains an invertible element, and pattern-match each
     admissible space against the expected shapes.
 
-    Lemma: cells (l, m) != (l', m') share a t-exponent exactly when
-    e_l - e_l' = q (e_m' - e_m), e = (0, i, j, d).  Both sides are nonzero,
-    so a positive difference x of the exponents is q times another, y, both
-    from {i, j, d, j - i, d - i, d - j}; conversely such a pair makes two
-    cells collide.  Without one all 16 exponents are distinct, dim = 0 and
-    exists_invertible answers "empty-space": only collision_signatures are
-    visited, and canonical_signature_count gives signatures_scanned."""
+    Lemma: only collision_signatures can be admissible, whatever the degree.
+    1. Cells (l, m) != (l', m') share a t-exponent exactly when
+       e_l - e_l' = q (e_m' - e_m), e = (0, i, j, d): a pair (x, y) of
+       differences from {i, j, d, j - i, d - i, d - j} with x = q*y holds.
+       Each pair that holds is one pair of cells, in the two rows of x
+       (x = e_l - e_l') and the two columns of y.
+    2. A cell that collides with nothing is forced to zero, so an invertible
+       B needs the pairs that hold to cover all four rows: at least two
+       pairs with different x.
+    3. Two pairs with different x never give the same plane.  Each entry
+       of the cross product of two normals x - q*y is an integer polynomial
+       in q of degree <= 2 with |coefficients| <= 2, so it has no root
+       q >= 3 unless it is identically zero, and no cross product is; at
+       q = 2 the zero ones all join two pairs with the same x.
+    4. So an admissible (j, d, i) lies on the line where two distinct planes
+       through the origin meet, and, being primitive, it is that line's
+       canonical point.
+    Every other signature is counted, not visited: canonical_signature_count
+    gives signatures_scanned.  The list does not depend on d_max, and at
+    every q tested its largest d is (q + 1)^2, below the default d_max."""
     if not gf.is_prime_power(q):
         raise ClassifyError(f"q={q} is not a prime power")
     if d_max is None:

@@ -183,7 +183,7 @@ def _read_json(path: str, parse, what: str):
             return parse(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise InputError(f"{path} is not a valid {what}: "
                          f"{type(exc).__name__}: {exc}") from None
 

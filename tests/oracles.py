@@ -8,19 +8,21 @@ the Jacobian minors (tetra.decide_smoothness).  These scans decide the same
 questions the slow way, one dense act or power walk per group element or
 one Jacobian rank per point of P^1, so the tests can check the fast paths
 on every field they can still reach.  The Hermitian splitting with a rank
-filter, the schoolbook polynomial product and the per-signature classify
-loop, which builds a solution space for every canonical signature where
-the package visits only those whose exponents collide, are references in
-the same sense.
+filter, the schoolbook polynomial product, the per-signature classify
+loop, which builds a solution space for every canonical signature, and the
+walk over every (d, i) that finds the signatures whose exponents collide,
+where the package visits only the points where two collision planes cross,
+are references in the same sense.
 """
 
 import itertools
 import math
 
 from hermitia import gf
-from hermitia.classify import (AdmissibleEntry, ClassificationReport,
-                               exists_invertible, expected_cases,
-                               match_case_shape, solution_space)
+from hermitia.classify import (_DIFFERENCES, AdmissibleEntry,
+                               ClassificationReport, exists_invertible,
+                               expected_cases, match_case_shape,
+                               solution_space)
 from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
                             twisted_gram)
 from hermitia.orbit import (OrbitError, StabilizerReport, act, proportional,
@@ -255,6 +257,31 @@ def canonical_signatures_upto(d_max: int):
         for i in range(1, d - 1):
             for j in range(i + 1, d):
                 if (i, j) <= (d - j, d - i) and math.gcd(d, i, j) == 1:
+                    yield Signature(d, i, j)
+
+
+def collision_signatures(q: int, d_max: int):
+    """In order, the canonical (d, i, j), d <= d_max, where a difference x of
+    the exponents is q times another, y: every signature whose solution
+    space is nonzero (step 1 of the lemma in classify.enumerate_admissible).
+    Canonical: gcd(d, i, j) = 1 and (i, j) <= (d - j, d - i), i.e. j <= d - i.
+    Each pair (x, y) reads a*j = b*d + c*i: one j per (d, i) if a != 0, every
+    j or none if a == 0 (d = q*i, for one)."""
+    planes = [(ax - q * ay, q * dy - dx, q * iy - ix)
+              for (ax, dx, ix), (ay, dy, iy)
+              in itertools.permutations(_DIFFERENCES, 2)]
+    for d in range(3, d_max + 1):
+        for i in range(1, (d + 1) // 2):
+            js = set()
+            for a, b, c in planes:
+                if a:
+                    j, r = divmod(b * d + c * i, a)
+                    if not r:
+                        js.add(j)
+                elif b * d + c * i == 0:
+                    js.update(range(i + 1, d - i + 1))
+            for j in sorted(js):
+                if i < j <= d - i and math.gcd(d, i, j) == 1:
                     yield Signature(d, i, j)
 
 

@@ -1,22 +1,25 @@
 import hashlib
+import itertools
 import json
 import random
+import time
 from collections import Counter
 from itertools import accumulate
 
 import pytest
 
-from hermitia import gf
+from hermitia import classify, gf
 from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, Signature,
                             canonical_signature, expand_form,
                             is_identically_zero)
 from hermitia.classify import (ClassifyError, canonical_signature_count,
                                case_shape_basis, case_shape_check,
-                               collision_signatures, enumerate_admissible,
-                               exists_invertible, expected_cases,
-                               predicted_signatures, solution_space)
+                               enumerate_admissible, exists_invertible,
+                               expected_cases, predicted_signatures,
+                               solution_space)
 from matrices import mat_from_ints
-from oracles import canonical_signatures_upto, exhaustive_reports
+from oracles import (canonical_signatures_upto, collision_signatures,
+                     exhaustive_reports)
 
 
 def test_solution_space_dims():
@@ -172,6 +175,85 @@ def test_collision_signatures_are_the_nonzero_spaces(q):
     assert list(collision_signatures(q, 60)) == nonzero
 
 
+def _normal_polynomials():
+    """(x, normal) for the 30 planes x = q*y: each entry of the normal
+    x - q*y on (j, d, i) as coefficients (c0, c1) of c0 + c1*q."""
+    return [(x, tuple((a, -b) for a, b in zip(x, y)))
+            for x, y in itertools.permutations(classify._DIFFERENCES, 2)]
+
+
+def _poly_cross(u, v):
+    """The cross product of two vectors of degree-1 polynomials in q, each
+    entry as coefficients (c0, c1, c2)."""
+    def times(f, g):
+        return (f[0] * g[0], f[0] * g[1] + f[1] * g[0], f[1] * g[1])
+
+    def minus(f, g):
+        return tuple(a - b for a, b in zip(f, g))
+    return (minus(times(u[1], v[2]), times(u[2], v[1])),
+            minus(times(u[2], v[0]), times(u[0], v[2])),
+            minus(times(u[0], v[1]), times(u[1], v[0])))
+
+
+def test_distinct_x_planes_never_coincide():
+    """Step 3 of the lemma in enumerate_admissible, symbolically: no cross
+    product of two of the 30 plane normals is identically zero, and every
+    coefficient is at most 2 in size, so none vanishes at q >= 3; checked
+    at q = 3 too.  At q = 2 exactly 4 cross products vanish, each joining
+    two planes with the same x."""
+    planes = _normal_polynomials()
+    assert len(planes) == 30
+    pairs = list(itertools.combinations(planes, 2))
+    assert len(pairs) == 435
+    zero_at = {2: [], 3: []}
+    for (x1, n1), (x2, n2) in pairs:
+        line = _poly_cross(n1, n2)
+        coefficients = [c for entry in line for c in entry]
+        assert any(coefficients)
+        assert max(map(abs, coefficients)) <= 2
+        for q in zero_at:
+            if not any(c0 + c1 * q + c2 * q * q for c0, c1, c2 in line):
+                zero_at[q].append((x1, x2))
+    assert zero_at[3] == []
+    assert len(zero_at[2]) == 4
+    assert all(x1 == x2 for x1, x2 in zero_at[2])
+
+
+def test_crossing_points_are_a_fixed_list():
+    """The list does not depend on d_max: 18 points at q = 2, 41 at q = 3
+    and 46 at every q from 4 to 64, none past d = (q + 1)^2, which is below
+    the default d_max."""
+    for q in range(2, 65):
+        points = classify.collision_signatures(q, 10 ** 9)
+        assert len(points) == {2: 18, 3: 41}.get(q, 46)
+        assert max(sig.d for sig in points) <= (q + 1) ** 2
+        assert (q + 1) ** 2 <= (3 * (q + 1) * q + 1) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_crossing_points_are_the_walk_less_zero_rows(q):
+    """Every crossing point is a signature the walk over (d, i) yields, and
+    every signature only the walk yields has a zero row or a zero column."""
+    walked = list(collision_signatures(q, 200))
+    points = classify.collision_signatures(q, 200)
+    assert set(points) <= set(walked)
+    assert points == sorted(points)
+    for sig in set(walked) - set(points):
+        method = exists_invertible(solution_space(sig, q)).method
+        assert method in ("zero-row", "zero-column"), sig
+
+
+def test_enumerate_admissible_q3_to_degree_2000_pinned():
+    """Recorded once from the walk, which built 2,668,779 solution spaces in
+    about 31 s; the crossing points are 41."""
+    t0 = time.perf_counter()
+    rep = enumerate_admissible(3, 2000)
+    assert time.perf_counter() - t0 < 1
+    assert rep.stats == {"signatures_scanned": 554388574, "admissible": 2}
+    assert [e.sig.astuple() for e in rep.admissible] == [(4, 1, 3), (6, 1, 4)]
+    assert rep.matches_prediction
+
+
 def test_canonical_signature_count_matches_the_triple_loop():
     per_degree = Counter(sig.d for sig in canonical_signatures_upto(150))
     looped = list(accumulate(per_degree[d] for d in range(3, 151)))
@@ -193,7 +275,7 @@ def test_enumerate_admissible_matches_the_loop_at_every_d_max(q):
 
 def test_enumerate_admissible_q13_pinned():
     """Recorded once from oracles.exhaustive_reports(13, 273), which takes
-    about 14 s: 1,407,393 solution spaces against the 12,772 visited here."""
+    about 14 s: 1,407,393 solution spaces against the 46 visited here."""
     rep = enumerate_admissible(13)
     assert rep.stats == {"signatures_scanned": 1407393, "admissible": 2}
     assert [(e.sig.astuple(), e.case, e.dim,

@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hermitia
 from hermitia import cli, gf
@@ -219,6 +222,7 @@ BAD_INPUT_FILES = {
     "float_modulus.json": json.dumps({
         "field": {**_GF9, "modulus": [1, 0, 1.0]}, "rows": 4, "cols": 4,
         "entries": _IDENTITY}),
+    "deep.json": "[" * 200000 + "]" * 200000,
 }
 
 
@@ -245,6 +249,8 @@ BAD_INPUT_FILES = {
     ["build", "--q", "4", "--case", "c2", "--fermat", "--max-ext", "0"],
     ["reps-q2", "--lambdas-file", "bool_lambda.json"],
     ["build", "--q", "3", "--case", "c1", "--surface", "bool_modulus.json"],
+    ["reps-q2", "--lambdas-file", "deep.json"],
+    ["build", "--q", "3", "--case", "c1", "--surface", "deep.json"],
 ])
 def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     for name, text in BAD_INPUT_FILES.items():
@@ -255,6 +261,38 @@ def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].strip()
     assert "Traceback" not in proc.stderr
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+# surface-shaped documents, so some runs get past the field check
+_SURFACE_LIKE = st.fixed_dictionaries({
+    "field": st.just(_GF9) | _JSON_VALUES, "rows": st.just(4) | _JSON_VALUES,
+    "cols": st.just(4) | _JSON_VALUES, "entries": _JSON_VALUES})
+
+
+@pytest.mark.parametrize("argv", [
+    ["reps-q2", "--lambdas-file"],
+    ["build", "--q", "3", "--case", "c1", "--surface"],
+])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_JSON_VALUES | _SURFACE_LIKE)
+def test_random_json_input_ends_in_a_documented_exit(argv, doc, tmp_path):
+    """Any JSON value given as an input file ends in 0, 2 or 3, in-process
+    and without an exception; a nonzero exit writes one stderr line."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].strip()
 
 
 def test_exhausted_build_exits_4_naming_the_field_bound():
