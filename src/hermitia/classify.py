@@ -5,8 +5,8 @@ solution space against the three expected shapes.
 
 Only a fixed list is visited: the canonical points where two collision
 planes x = q*y cross (x, y differences of (0, i, j, d)), at most one per
-pair of the 30 planes, none past d = (q + 1)^2 (the lemma in
-enumerate_admissible).  The others are counted, not visited: there are
+pair of the 30 planes and none past d = (q + 1)^2 at any q tested (the
+lemma in enumerate_admissible).  The rest are counted, not visited: there are
 sum over d of (N(d) + phi(d)/2) / 2 canonical signatures with
 N(d) = sum over g | d of mu(g) C(d/g - 1, 2).  Working over the algebraic
 closure is reduced to two exact finite computations: an invertible witness

@@ -195,7 +195,7 @@ def _poly_cross(u, v):
             minus(times(u[0], v[1]), times(u[1], v[0])))
 
 
-def test_distinct_x_planes_never_coincide():
+def test_collision_planes_coincide_only_at_q2_with_the_same_x():
     """Step 3 of the lemma in enumerate_admissible, symbolically: no cross
     product of two of the 30 plane normals is identically zero, and every
     coefficient is at most 2 in size, so none vanishes at q >= 3; checked
@@ -221,13 +221,12 @@ def test_distinct_x_planes_never_coincide():
 
 def test_crossing_points_are_a_fixed_list():
     """The list does not depend on d_max: 18 points at q = 2, 41 at q = 3
-    and 46 at every q from 4 to 64, none past d = (q + 1)^2, which is below
-    the default d_max."""
+    and 46 at every q from 4 to 64, none past d = (q + 1)^2, which is at
+    most the default d_max (3q(q + 1) + 1)/2 for every q >= 2."""
     for q in range(2, 65):
         points = classify.collision_signatures(q, 10 ** 9)
         assert len(points) == {2: 18, 3: 41}.get(q, 46)
         assert max(sig.d for sig in points) <= (q + 1) ** 2
-        assert (q + 1) ** 2 <= (3 * (q + 1) * q + 1) // 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
