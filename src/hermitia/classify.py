@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield
-from typing import Optional
 
 from . import gf
 from .matff import Mat
@@ -37,7 +35,6 @@ class ClassifyError(ValueError):
     pass
 
 
-@dataclass
 class SolutionSpace:
     """The linear space {B : pulled-back form == 0} for one signature.
 
@@ -45,11 +42,14 @@ class SolutionSpace:
     cells are forced to zero and every larger group must sum to zero, which
     leaves (group size - 1) free coefficients per group.
     """
-    sig: Signature
-    q: int
-    field: gf.Field
-    forced_zero: frozenset          # cells (l, m) that must vanish
-    groups: tuple                   # tuples of cells sharing an exponent, size >= 2
+
+    def __init__(self, sig: Signature, q: int, field: gf.Field,
+                 forced_zero: frozenset, groups: tuple):
+        self.sig = sig
+        self.q = q
+        self.field = field
+        self.forced_zero = forced_zero  # cells (l, m) that must vanish
+        self.groups = groups            # tuples of cells sharing an exponent, size >= 2
 
     @property
     def dim(self) -> int:
@@ -87,12 +87,13 @@ def solution_space(sig: Signature, q: int) -> SolutionSpace:
     return SolutionSpace(sig, q, gf.gfq2(q), forced, groups)
 
 
-@dataclass
 class InvertibleVerdict:
-    invertible: bool
-    method: str
-    witness: Optional[Mat] = None
-    checked: int = 0
+    def __init__(self, invertible: bool, method: str,
+                 witness: Mat | None = None, checked: int = 0):
+        self.invertible = invertible
+        self.method = method
+        self.witness = witness
+        self.checked = checked
 
 
 def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
@@ -211,13 +212,14 @@ def match_case_shape(space: SolutionSpace, case: str, q: int,
     return all(space.contains(b) for b in shape)
 
 
-@dataclass
 class AdmissibleEntry:
-    sig: Signature                  # canonical
-    case_sig: Optional[Signature]   # conventional label, when a case matched
-    dim: int
-    case: str                       # "I" | "II" | "III" | "unexpected"
-    witness: Mat
+    def __init__(self, sig: Signature, case_sig: Signature | None, dim: int,
+                 case: str, witness: Mat):
+        self.sig = sig                  # canonical
+        self.case_sig = case_sig        # conventional label, when a case matched
+        self.dim = dim
+        self.case = case                # "I" | "II" | "III" | "unexpected"
+        self.witness = witness
 
     def to_json(self) -> dict:
         label = self.case_sig
@@ -226,12 +228,13 @@ class AdmissibleEntry:
                 "case_sig": list(label.astuple()) if label else None}
 
 
-@dataclass
 class ClassificationReport:
-    q: int
-    d_max: int
-    admissible: list                # AdmissibleEntry, sorted by signature
-    stats: dict = dfield(default_factory=dict)
+    def __init__(self, q: int, d_max: int, admissible: list,
+                 stats: dict | None = None):
+        self.q = q
+        self.d_max = d_max
+        self.admissible = admissible    # AdmissibleEntry, sorted by signature
+        self.stats = {} if stats is None else stats
 
     def signatures(self):
         return [e.sig for e in self.admissible]
@@ -296,7 +299,7 @@ def canonical_signature_count(d_max: int) -> int:
     return sum((pairs[d] + phi[d] // 2) // 2 for d in range(3, d_max + 1))
 
 
-def enumerate_admissible(q: int, d_max: Optional[int] = None) -> ClassificationReport:
+def enumerate_admissible(q: int, d_max: int | None = None) -> ClassificationReport:
     """Classify every canonical signature with d <= d_max: keep those whose
     solution space contains an invertible element, and pattern-match each
     admissible space against the expected shapes.

@@ -15,13 +15,19 @@ coefficients and take discrete logs by baby-step giant-step.  Fields are
 interned by (p, m, modulus): two calls to make_field with the same data
 return the same object, and elements of distinct Field objects must never
 be mixed.
+
+Every CLI call builds the fields it needs from scratch, so table building
+is part of what each process pays before its answer.  The exp table is
+built by stepping with precomputed half products (for p = 2, by blocks of
+XORed half lookups, see _power_table) and the Zech table by one
+comprehension over it.  A prime power q is split by integer roots and a
+deterministic Miller-Rabin test, so a large q costs no trial division.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import poly
@@ -39,37 +45,63 @@ def _is_integer(c) -> bool:
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality.  Below 3317044064679887385961981 (about 3.3e24),
+    Miller-Rabin with the prime bases 2 to 41 decides it: no composite
+    there passes all thirteen bases (Sorenson and Webster, Math. Comp. 86,
+    2017).  At and above that bound, trial division decides it."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
-    if n < 4:
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    if n >= 3317044064679887385961981:
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _integer_root(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)  # 2^ceil(bits / k) > q^(1/k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power_split(q: int):
-    """Return (p, n) with q = p^n, or raise if q is not a prime power >= 2."""
+    """Return (p, n) with q = p^n, or raise if q is not a prime power >= 2.
+
+    If q = p^n with p prime, no k > n makes q a k-th power, so the first
+    k, counted down from floor(log2 q), whose integer k-th root r has
+    r^k = q and r prime gives (p, n)."""
     if q < 2:
         raise FieldError(f"q={q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise FieldError(f"q={q} is not a prime power")
-            return p, n
-        p += 1
-    return q, 1  # q itself is prime
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _integer_root(q, k)
+        if r ** k == q and is_prime(r):
+            return r, k
+    raise FieldError(f"q={q} is not a prime power")
 
 
 def is_prime_power(q: int) -> bool:
@@ -208,11 +240,11 @@ class Field:
             return
         p = self.p
         half = n // 2  # g^half = -1
-        zech = [0] * n  # zech[k] = log(1 + g^k); -1 where 1 + g^k = 0
-        for k, v in enumerate(exp):
-            c = v % p
-            t = v - c + (c + 1) % p
-            zech[k] = log[t] if t else -1
+        # zech[k] = log(1 + g^k): adding 1 raises the low digit, which wraps
+        # from p - 1 to 0; 1 + g^half = 0 has no log and is marked -1
+        top = p - 1
+        zech = [log[v - top] if v % p == top else log[v + 1] for v in exp]
+        zech[half] = -1
 
         def add(x, y):
             if not x:
@@ -383,16 +415,41 @@ class Field:
 def _power_table(field: Field) -> list:
     """[g^0, g^1, ..., g^(order-2)] for the canonical generator g.
 
-    Multiplication by g is GF(p)-linear, so each step splits the packed
-    power into a low half (the m // 2 low digits) and a high half and adds
-    two precomputed products, one per half.  The products are kept spread
-    out, each base-p digit in its own field of `bits` bits, wide enough for
-    a digit sum up to 2p - 2; the sum has no carries, and one lookup per
-    half reduces its digits mod p and packs them again."""
+    For odd p, multiplication by g is GF(p)-linear, so each step splits the
+    packed power into a low half (the m // 2 low digits) and a high half
+    and adds two precomputed products, one per half.  The products are kept
+    spread out, each base-p digit in its own field of `bits` bits, wide
+    enough for a digit sum up to 2p - 2; the sum has no carries, and one
+    lookup per half reduces its digits mod p and packs them again.
+
+    For p = 2 only the first B = 2^(m // 2) powers are stepped, one
+    coefficient multiplication each.  Lemma: over GF(2), addition is XOR of
+    packed ints and multiplication by c is GF(2)-linear, so
+    x c = (x_lo c) XOR (x_hi c) for the low m // 2 bits x_lo of x and the
+    rest x_hi.  Since g^(kB + r) = g^((k-1)B + r) g^B, each later block of B
+    powers is the previous block mapped by x -> x g^B: two half lookups
+    XORed per power, in one comprehension per block.  Odd p keeps the
+    stepper: a block version measured no faster there."""
     p, m = field.p, field.m
     g = field._gen
+    n = field.order - 1
     low = m // 2
     plow = p ** low
+    # Field.mul is the coefficient method, whatever the instance has bound
+    if p == 2:
+        exp = [1]
+        while len(exp) < plow:
+            exp.append(Field.mul(field, exp[-1], g))
+        g_b = Field.mul(field, exp[-1], g)
+        lo_times_gb = [Field.mul(field, x, g_b) for x in range(plow)]
+        hi_times_gb = [Field.mul(field, x << low, g_b)
+                       for x in range(1 << (m - low))]
+        lo_bits = plow - 1
+        while len(exp) < n:
+            exp += [lo_times_gb[v & lo_bits] ^ hi_times_gb[v >> low]
+                    for v in exp[-plow:]]
+        del exp[n:]
+        return exp
     bits = (2 * p - 2).bit_length()
 
     def spread(v):
@@ -403,7 +460,6 @@ def _power_table(field: Field) -> list:
             shift += bits
         return s
 
-    # Field.mul is the coefficient method, whatever the instance has bound
     lo_times_g = [spread(Field.mul(field, x, g)) for x in range(plow)]
     hi_times_g = [spread(Field.mul(field, x * plow, g))
                   for x in range(p ** (m - low))]
@@ -415,8 +471,8 @@ def _power_table(field: Field) -> list:
     mask = (1 << bits * low) - 1
     shift = bits * low
     lo, hi = (1, 0) if low else (0, 1)
-    exp = [0] * (field.order - 1)
-    for i in range(len(exp)):
+    exp = [0] * n
+    for i in range(n):
         exp[i] = lo + hi * plow
         s = lo_times_g[lo] + hi_times_g[hi]
         lo, hi = pack[s & mask], pack[s >> shift]
@@ -465,13 +521,14 @@ def gf_ext(q: int, m: int) -> Field:
 # embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Embedding:
     """Ring-homomorphic inclusion of src into dst, determined by a root of
     src.modulus in dst (the smallest such root in packed order)."""
-    src: Field
-    dst: Field
-    image_of_generator: int
+
+    def __init__(self, src: Field, dst: Field, image_of_generator: int):
+        self.src = src
+        self.dst = dst
+        self.image_of_generator = image_of_generator
 
     def __call__(self, x: int) -> int:
         return poly.evaluate(self.src.coeffs(x), self.image_of_generator,

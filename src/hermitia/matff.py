@@ -8,8 +8,6 @@ Gauss-Jordan elimination; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf
 from .gf import Field
 
@@ -293,17 +291,16 @@ def _pivot_candidates(f: Field, basis):
 # surfaces
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SurfaceSpec:
     """A degree-(q+1) surface x -> t(x) A x^(q) = 0 given by its 4x4 Gram
     matrix over GF(q^2).  Smoothness and the Hermitian property are derived,
     never stored."""
-    q: int
-    gram: Mat
 
-    def __post_init__(self):
-        if self.gram.rows != 4 or self.gram.cols != 4:
+    def __init__(self, q: int, gram: Mat):
+        if gram.rows != 4 or gram.cols != 4:
             raise MatError("surface Gram matrix must be 4x4")
+        self.q = q
+        self.gram = gram
 
     @property
     def smooth(self) -> bool:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 from . import gf
 from .gf import Field
@@ -92,24 +90,25 @@ def count_Td(case: str, q: int):
     raise OrbitError(f"unknown case {case!r}")
 
 
-@dataclass
 class CountEntry:
-    case: str
-    d: int
-    count: object               # int or "infinite"
-    aut: int
-    stab: Optional[int]
-    note: str = ""
+    def __init__(self, case: str, d: int, count, aut: int, stab: int | None,
+                 note: str = ""):
+        self.case = case
+        self.d = d
+        self.count = count      # int or "infinite"
+        self.aut = aut
+        self.stab = stab
+        self.note = note
 
     def to_json(self) -> dict:
         return {"case": self.case, "d": self.d, "count": self.count,
                 "aut_order": self.aut, "stab_order": self.stab, "note": self.note}
 
 
-@dataclass
 class CountReport:
-    q: int
-    entries: list
+    def __init__(self, q: int, entries: list):
+        self.q = q
+        self.entries = entries
 
     def to_json(self) -> dict:
         return {"q": self.q, "cases": [e.to_json() for e in self.entries]}
@@ -226,14 +225,15 @@ def star_positions(case: str, q: int):
     return case_signature(case, q).exponents
 
 
-@dataclass
 class BigForm:
     """Sparse (d+1)x(d+1) form matrix over the monomial index space."""
-    case: str
-    q: int
-    n: int                       # d + 1
-    field: Field
-    cells: dict                  # (row, col) -> nonzero element
+
+    def __init__(self, case: str, q: int, n: int, field: Field, cells: dict):
+        self.case = case
+        self.q = q
+        self.n = n              # d + 1
+        self.field = field
+        self.cells = cells      # (row, col) -> nonzero element
 
     def lift_to(self, fld: Field) -> "BigForm":
         if fld is self.field:
@@ -298,7 +298,7 @@ def act(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
     return BigForm(M.case, M.q, M.n, f, cells)
 
 
-def proportional(M: BigForm, N: BigForm) -> Optional[int]:
+def proportional(M: BigForm, N: BigForm) -> int | None:
     """The scalar c with M = c N, if one exists."""
     f = M.field
     if set(M.cells) != set(N.cells):
@@ -317,7 +317,7 @@ def proportional(M: BigForm, N: BigForm) -> Optional[int]:
 # diagonal congruences
 # ---------------------------------------------------------------------------
 
-def _solve_linear_congruence(a: int, b: int, n: int) -> Optional[int]:
+def _solve_linear_congruence(a: int, b: int, n: int) -> int | None:
     """Smallest x with a x == b (mod n), or None."""
     g = math.gcd(a, n)
     if b % g:
@@ -681,17 +681,20 @@ def build_curve(case: str, q: int, surf: SurfaceSpec,
 # the stabilizer
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StabilizerReport:
-    case: str
-    q: int
-    field: Field
-    elements: list               # projective 4x4 star matrices, scalar-normalized
-    order: int
-    cyclic: bool
-    predicted_order: int
-    nondiagonal_samples: int = 0
-    nondiagonal_hits: ClassVar[int] = 0  # by nondiagonal_excluded
+    nondiagonal_hits = 0  # by nondiagonal_excluded
+
+    def __init__(self, case: str, q: int, field: Field, elements: list,
+                 order: int, cyclic: bool, predicted_order: int,
+                 nondiagonal_samples: int = 0):
+        self.case = case
+        self.q = q
+        self.field = field
+        self.elements = elements  # projective 4x4 star matrices, scalar-normalized
+        self.order = order
+        self.cyclic = cyclic
+        self.predicted_order = predicted_order
+        self.nondiagonal_samples = nondiagonal_samples
 
     @property
     def matches_prediction(self) -> bool:

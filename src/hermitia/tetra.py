@@ -19,7 +19,6 @@ lexicographically smaller of (i,j) and (d-j, d-i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import gf, poly
 from .gf import Field
@@ -35,15 +34,43 @@ class SignatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class Signature:
-    d: int
-    i: int
-    j: int
+    """The exponents (d, i, j) of a tetranomial curve: immutable, hashable
+    and ordered as the tuple (d, i, j)."""
 
-    def __post_init__(self):
-        if not (1 <= self.i < self.j <= self.d - 1):
-            raise SignatureError(f"need 1 <= i < j <= d-1, got {self.astuple()}")
+    def __init__(self, d: int, i: int, j: int):
+        if not (1 <= i < j <= d - 1):
+            raise SignatureError(f"need 1 <= i < j <= d-1, got {(d, i, j)}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Signature")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Signature")
+
+    def __repr__(self):
+        return f"Signature(d={self.d}, i={self.i}, j={self.j})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self.astuple() == other.astuple()
+
+    def __lt__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self.astuple() < other.astuple()
+
+    def __le__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self.astuple() <= other.astuple()
+
+    def __hash__(self):
+        return hash(self.astuple())
 
     def astuple(self):
         return (self.d, self.i, self.j)
@@ -117,13 +144,14 @@ def is_identically_zero(sig: Signature, q: int, B: Mat) -> bool:
 # curves
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CurveSpec:
     """A parametrized curve F . (s^d, s^(d-i) t^i, s^(d-j) t^j, t^d); it is
     nonplanar exactly when the frame F is invertible."""
-    q: int
-    sig: Signature
-    frame: Mat
+
+    def __init__(self, q: int, sig: Signature, frame: Mat):
+        self.q = q
+        self.sig = sig
+        self.frame = frame
 
     @property
     def nonplanar(self) -> bool:
@@ -249,14 +277,15 @@ def normalize_point(field: Field, point):
     raise MatError("zero vector is not a projective point")
 
 
-@dataclass
 class SmoothnessReport:
-    case: str
-    q: int
-    field: Field
-    points_scanned: int
-    containment_ok: bool
-    singular: list  # [(normalized point tuple, jacobian rank), ...] sorted
+    def __init__(self, case: str, q: int, field: Field, points_scanned: int,
+                 containment_ok: bool, singular: list):
+        self.case = case
+        self.q = q
+        self.field = field
+        self.points_scanned = points_scanned
+        self.containment_ok = containment_ok
+        self.singular = singular  # [(normalized point tuple, jacobian rank), ...] sorted
 
     def to_json(self) -> dict:
         f = self.field

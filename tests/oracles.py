@@ -12,7 +12,10 @@ filter, the schoolbook polynomial product, the per-signature classify
 loop, which builds a solution space for every canonical signature, and the
 walk over every (d, i) that finds the signatures whose exponents collide,
 where the package visits only the points where two collision planes cross,
-are references in the same sense.
+are references in the same sense.  So are the field tables built one
+multiplication per power, where the package steps by half products and, in
+characteristic 2, by blocks, and the prime power split by trial division,
+where the package takes integer roots and a Miller-Rabin test.
 """
 
 import itertools
@@ -234,6 +237,47 @@ def _independent_subset(f, vectors, want: int):
             if len(picked) == want:
                 break
     return picked
+
+
+# -- fields --------------------------------------------------------------------
+
+def prime_power_split_by_trial_division(q: int):
+    """(p, n) with q = p^n, by trial division over every p up to sqrt(q);
+    raises FieldError if q is not a prime power >= 2."""
+    if q < 2:
+        raise gf.FieldError(f"q={q} is not a prime power")
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            n = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                n += 1
+            if m != 1:
+                raise gf.FieldError(f"q={q} is not a prime power")
+            return p, n
+        p += 1
+    return q, 1  # q itself is prime
+
+
+def stepped_tables(field):
+    """The exp, log and Zech tables of a field, one coefficient
+    multiplication per power of the generator: exp[k] = g^k, log[exp[k]] = k
+    (log[0] = 0), and for odd p zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
+    (None for p = 2)."""
+    g = field.generator()
+    exp, v = [], 1
+    for _ in range(field.order - 1):
+        exp.append(v)
+        v = gf.Field.mul(field, v, g)
+    log = [0] * field.order
+    for k, v in enumerate(exp):
+        log[v] = k
+    if field.p == 2:
+        return exp, log, None
+    ones = [gf.Field.add(field, 1, v) for v in exp]
+    return exp, log, [log[s] if s else -1 for s in ones]
 
 
 # -- polynomials over GF(p) ----------------------------------------------------

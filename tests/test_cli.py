@@ -32,12 +32,13 @@ def exit_code(argv):
         return exc.code
 
 
-def run_process(argv, cwd=None, **env):
+def run_process(argv, cwd=None, timeout=None, **env):
     """Run the CLI in a fresh interpreter, as the installed script would."""
     src = str(Path(hermitia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
                           capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path, **env})
 
 
@@ -65,6 +66,13 @@ def test_count_tsv_format(capsys):
 def test_count_rejects_non_prime_power(capsys):
     assert exit_code(["count", "--q", "6"]) == 3
     assert capsys.readouterr().err == "q=6 is not a prime power\n"
+
+
+def test_count_takes_a_large_prime_q():
+    """10^18 + 3 is prime; its square root is past any trial division."""
+    proc = run_process(["count", "--q", "1000000000000000003"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == 10 ** 18 + 3
 
 
 def test_classify_q3(capsys):
@@ -251,11 +259,12 @@ BAD_INPUT_FILES = {
     ["build", "--q", "3", "--case", "c1", "--surface", "bool_modulus.json"],
     ["reps-q2", "--lambdas-file", "deep.json"],
     ["build", "--q", "3", "--case", "c1", "--surface", "deep.json"],
+    ["count", "--q", "1000000016000000063"],     # (10^9 + 7)(10^9 + 9)
 ])
 def test_invalid_input_exits_3_with_one_line_reason(argv, tmp_path):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
-    proc = run_process(argv, cwd=tmp_path)
+    proc = run_process(argv, cwd=tmp_path, timeout=60)
     assert proc.returncode == 3
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -322,6 +331,23 @@ def test_cli_imports_only_the_standard_library():
                if name != "__main__" and name.split(".")[0] != "hermitia"
                and name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Each CLI call pays for what `import hermitia.cli` loads; dataclasses
+    alone pulls in inspect, ast, dis and tokenize.  -S keeps site hooks from
+    loading any of them first."""
+    src = str(Path(hermitia.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import hermitia.cli\n"
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hermitia.cli" in loaded
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded)
 
 
 def test_threads_environment_variable_is_ignored():

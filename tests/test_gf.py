@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia import gf
 from hermitia.gf import FieldError, make_field, make_embedding, solve_norm
-from oracles import _poly_product
+from oracles import (_poly_product, prime_power_split_by_trial_division,
+                     stepped_tables)
 
 
 FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 2), (7, 2)]
@@ -70,6 +71,21 @@ def test_tables_match_coefficient_fill(p, m):
         assert f.add(1, v) == gf.Field.add(f, 1, v)
         v = gf.Field.mul(f, v, g)
     assert v == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in (*range(1, 13), 18)]
+                         + [(3, 1), (3, 7), (5, 5), (7, 4), (13, 2)])
+def test_tables_equal_the_stepped_reference(p, m):
+    """The exp table (stepped by half products, or by blocks for p = 2),
+    the log table and the Zech table (one comprehension) equal the tables
+    built one coefficient multiplication per power."""
+    f = make_field(p, m)
+    exp, log, zech = stepped_tables(f)
+    assert [f.exp_gen(k) for k in range(f.order - 1)] == exp
+    assert [f.dlog(v) for v in range(1, f.order)] == log[1:]
+    if zech is not None:
+        # a tabled add(1, g^k) is g^zech[k], or 0 where zech[k] = -1
+        assert [f.dlog(s) if (s := f.add(1, v)) else -1 for v in exp] == zech
 
 
 def test_reducible_modulus_rejected():
@@ -228,6 +244,32 @@ def test_prime_power_split():
     assert gf.prime_power_split(13) == (13, 1)
     assert not gf.is_prime_power(6)
     assert not gf.is_prime_power(1)
+
+
+def _split(split, q):
+    try:
+        return split(q)
+    except FieldError:
+        return None
+
+
+def test_prime_power_split_matches_trial_division():
+    for q in range(-1, 2 * 10 ** 4):
+        expected = _split(prime_power_split_by_trial_division, q)
+        assert _split(gf.prime_power_split, q) == expected, q
+        assert gf.is_prime(q) == (expected == (q, 1)), q
+
+
+def test_primality_is_exact_past_trial_division_reach():
+    assert gf.is_prime(10 ** 18 + 3)
+    assert gf.prime_power_split((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+    assert not gf.is_prime_power((10 ** 9 + 7) * (10 ** 9 + 9))
+    # strong pseudoprime to every prime base up to 37; base 41 refutes it
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not gf.is_prime(318665857834031151167461)
+    # past 3.3e24 trial division decides, and a prime power splits by roots
+    assert not gf.is_prime(43 * 47 ** 14)
+    assert gf.prime_power_split(47 ** 15) == (47, 15)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 4), (3, 4), (7, 2)])

@@ -37,6 +37,20 @@ def test_signature_validation():
         Signature(4, 1, 4)
 
 
+def test_signature_is_a_hashable_ordered_immutable_value():
+    a, b, c = Signature(4, 1, 3), Signature(4, 1, 3), Signature(3, 1, 2)
+    assert a == b and a is not b and a != c and a != (4, 1, 3)
+    assert {a, b, c, Signature(3, 1, 2)} == {a, c}
+    assert sorted([Signature(6, 2, 5), a, Signature(4, 1, 2), c]) == [
+        c, Signature(4, 1, 2), a, Signature(6, 2, 5)]
+    assert c < a <= b and a > c and a >= b and not a < b
+    with pytest.raises(AttributeError):
+        a.d = 5
+    with pytest.raises(AttributeError):
+        del a.i
+    assert a.astuple() == (4, 1, 3) and a == b
+
+
 @st.composite
 def raw_signatures(draw):
     d = draw(st.integers(3, 40))
