@@ -21,7 +21,8 @@ is part of what each process pays before its answer.  The exp table is
 built by stepping with precomputed half products (for p = 2, by blocks of
 XORed half lookups, see _power_table) and the Zech table by one
 comprehension over it.  A prime power q is split by integer roots and a
-deterministic Miller-Rabin test, so a large q costs no trial division.
+Miller-Rabin test that is exact below 3.3e24, so no q below that bound
+costs a trial division.
 """
 
 from __future__ import annotations
