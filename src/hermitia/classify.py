@@ -229,12 +229,11 @@ class AdmissibleEntry:
 
 
 class ClassificationReport:
-    def __init__(self, q: int, d_max: int, admissible: list,
-                 stats: dict | None = None):
+    def __init__(self, q: int, d_max: int, admissible: list, stats: dict):
         self.q = q
         self.d_max = d_max
         self.admissible = admissible    # AdmissibleEntry, sorted by signature
-        self.stats = {} if stats is None else stats
+        self.stats = stats
 
     def signatures(self):
         return [e.sig for e in self.admissible]

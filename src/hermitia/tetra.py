@@ -285,7 +285,8 @@ class SmoothnessReport:
         self.field = field
         self.points_scanned = points_scanned
         self.containment_ok = containment_ok
-        self.singular = singular  # [(normalized point tuple, jacobian rank), ...] sorted
+        # [(normalized point tuple, jacobian rank), ...], sorted
+        self.singular = singular
 
     def to_json(self) -> dict:
         f = self.field
