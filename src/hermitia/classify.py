@@ -123,7 +123,7 @@ def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     if dim > _GRID_DIM_LIMIT:
         raise ClassifyError(f"solution space dim {dim} beyond grid guard")
     fld4 = gf.gf_ext(space.q, 2)
-    grid = list(fld4.elements())[:5]
+    grid = fld4.elements()[:5]
     for coeffs in itertools.product(grid, repeat=dim):
         checked += 1
         B = space.combination(coeffs, fld4)

@@ -7,22 +7,23 @@ field element hashable and orderable for free.  The packed order 0, 1, 2, ...
 is the fixed enumeration order used everywhere a "first" or "smallest" element
 is promised.
 
-A Field with at most TABLE_LIMIT elements builds exp/log tables (and Zech
-logarithms for odd p) when it is made, so addition, multiplication,
-inversion, powering and discrete logs are table lookups for every field
-small enough to matter at desk scale; larger fields compute on polynomial
-coefficients and take discrete logs by baby-step giant-step.  Fields are
-interned by (p, m, modulus): two calls to make_field with the same data
-return the same object, and elements of distinct Field objects must never
-be mixed.
+Tables serve the multiplicative group only.  A Field with at most
+TABLE_LIMIT elements builds exp/log tables when it is made, so
+multiplication, division, inversion, powering and discrete logs are table
+lookups for every field small enough to matter at desk scale; larger
+fields compute on polynomial coefficients and take discrete logs by
+baby-step giant-step.  Addition is digit arithmetic in every field: XOR of
+packed ints for p = 2, and for odd p the coefficient add/sub/neg, digit by
+digit mod p, tabled or not.  Fields are interned by (p, m, modulus): two
+calls to make_field with the same data return the same object, and
+elements of distinct Field objects must never be mixed.
 
 Every CLI call builds the fields it needs from scratch, so table building
 is part of what each process pays before its answer.  The exp table is
 built by stepping with precomputed half products (for p = 2, by blocks of
-XORed half lookups, see _power_table) and the Zech table by one
-comprehension over it.  A prime power q is split by integer roots and a
-Miller-Rabin test that is exact below 3.3e24, so no q below that bound
-costs a trial division.
+XORed half lookups, see _power_table).  A prime power q is split by
+integer roots and a Miller-Rabin test that is exact below 3.3e24, so no q
+below that bound costs a trial division.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from . import poly
 
-TABLE_LIMIT = 1 << 20  # build exp/log/Zech tables up to this field size
+TABLE_LIMIT = 1 << 20  # build exp/log tables (multiplicative group) up to this size
 
 
 class FieldError(ValueError):
@@ -175,8 +176,10 @@ class Field:
 
     The methods below compute on polynomial coefficients and need no tables.
     A field with at most TABLE_LIMIT elements builds its tables once, at
-    construction, and shadows the arithmetic with table lookups bound as
-    instance attributes.
+    construction, and shadows the multiplicative methods (mul, div, inv,
+    pow, dlog, exp_gen) with table lookups bound as instance attributes.
+    Addition is never tabled: p = 2 binds XOR at construction, and odd p
+    keeps the coefficient add/sub/neg below.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -199,8 +202,9 @@ class Field:
             self._bind_tables()
 
     def _bind_tables(self):
-        """Build exp/log tables (and Zech logarithms for odd p) and bind
-        table-lookup arithmetic over the coefficient methods."""
+        """Build exp/log tables and bind table lookups for the
+        multiplicative group over the coefficient methods; addition stays
+        digit arithmetic."""
         n = self.order - 1
         exp = _power_table(self)  # exp[i] = g^i
         log = [0] * self.order
@@ -237,39 +241,6 @@ class Field:
 
         self.mul, self.div, self.inv, self.pow = mul, div, inv, pow
         self.dlog, self.exp_gen = dlog, exp_gen
-        if self.p == 2:
-            return
-        p = self.p
-        half = n // 2  # g^half = -1
-        # zech[k] = log(1 + g^k): adding 1 raises the low digit, which wraps
-        # from p - 1 to 0; 1 + g^half = 0 has no log and is marked -1
-        top = p - 1
-        zech = [log[v - top] if v % p == top else log[v + 1] for v in exp]
-        zech[half] = -1
-
-        def add(x, y):
-            if not x:
-                return y
-            if not y:
-                return x
-            a = log[x]
-            z = zech[(log[y] - a) % n]
-            return exp[(a + z) % n] if z >= 0 else 0
-
-        def sub(x, y):
-            if not y:
-                return x
-            b = log[y] + half
-            if not x:
-                return exp[b % n]
-            a = log[x]
-            z = zech[(b - a) % n]
-            return exp[(a + z) % n] if z >= 0 else 0
-
-        def neg(x):
-            return exp[(log[x] + half) % n] if x else 0
-
-        self.add, self.sub, self.neg = add, sub, neg
 
     # -- representation helpers ------------------------------------------------
 

@@ -262,10 +262,8 @@ def prime_power_split_by_trial_division(q: int):
 
 
 def stepped_tables(field):
-    """The exp, log and Zech tables of a field, one coefficient
-    multiplication per power of the generator: exp[k] = g^k, log[exp[k]] = k
-    (log[0] = 0), and for odd p zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
-    (None for p = 2)."""
+    """The exp and log tables of a field, one coefficient multiplication
+    per power of the generator: exp[k] = g^k, log[exp[k]] = k (log[0] = 0)."""
     g = field.generator()
     exp, v = [], 1
     for _ in range(field.order - 1):
@@ -274,10 +272,7 @@ def stepped_tables(field):
     log = [0] * field.order
     for k, v in enumerate(exp):
         log[v] = k
-    if field.p == 2:
-        return exp, log, None
-    ones = [gf.Field.add(field, 1, v) for v in exp]
-    return exp, log, [log[s] if s else -1 for s in ones]
+    return exp, log
 
 
 # -- polynomials over GF(p) ----------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
@@ -72,6 +73,21 @@ def test_exists_invertible_cases():
     if sp.dim == 0:
         v = exists_invertible(sp)
         assert not v.invertible and v.method == "empty-space"
+
+
+def test_grid_stage_does_not_list_the_quartic_field():
+    """At q = 64 the c1 signature (q+1, 1, q) has dim 4 and reaches the
+    grid over GF(q^4) = GF(2^24); five grid points must not cost a list of
+    all 2^24 elements."""
+    space = solution_space(Signature(65, 1, 64), 64)
+    tracemalloc.start()
+    try:
+        verdict = exists_invertible(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.method == "witness-gfq4"
+    assert peak < 50 * 2 ** 20
 
 
 def test_case_shape_check():

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,14 +63,13 @@ def test_default_modulus_skips_constant_term_zero(monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(3, 6), (5, 6), (7, 4), (13, 4), (2, 12)])
 def test_tables_match_coefficient_fill(p, m):
-    """exp, log and Zech tables against powers of the generator taken with
-    the coefficient multiplication, one step at a time."""
+    """exp and log tables against powers of the generator taken with the
+    coefficient multiplication, one step at a time."""
     f = make_field(p, m)
     g = f.generator()
     v = 1
     for i in range(f.order - 1):
         assert f.exp_gen(i) == v and f.dlog(v) == i
-        assert f.add(1, v) == gf.Field.add(f, 1, v)
         v = gf.Field.mul(f, v, g)
     assert v == 1
 
@@ -76,16 +77,43 @@ def test_tables_match_coefficient_fill(p, m):
 @pytest.mark.parametrize("p,m", [(2, m) for m in (*range(1, 13), 18)]
                          + [(3, 1), (3, 7), (5, 5), (7, 4), (13, 2)])
 def test_tables_equal_the_stepped_reference(p, m):
-    """The exp table (stepped by half products, or by blocks for p = 2),
-    the log table and the Zech table (one comprehension) equal the tables
-    built one coefficient multiplication per power."""
+    """The exp table (stepped by half products, or by blocks for p = 2)
+    and the log table equal the tables built one coefficient
+    multiplication per power."""
     f = make_field(p, m)
-    exp, log, zech = stepped_tables(f)
+    exp, log = stepped_tables(f)
     assert [f.exp_gen(k) for k in range(f.order - 1)] == exp
     assert [f.dlog(v) for v in range(1, f.order)] == log[1:]
-    if zech is not None:
-        # a tabled add(1, g^k) is g^zech[k], or 0 where zech[k] = -1
-        assert [f.dlog(s) if (s := f.add(1, v)) else -1 for v in exp] == zech
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 7), (5, 5), (7, 4),
+                                 (13, 2)])
+def test_odd_addition_acts_digit_by_digit(p, m, tabled, monkeypatch):
+    """Tables serve only the multiplicative group: with them or without,
+    add, sub and neg of an odd-characteristic field are the coefficient
+    methods, acting on the digits of Field.coeffs one at a time mod p."""
+    if not tabled:
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+    f = gf.Field(p, m, gf.default_modulus(p, m))
+    assert f.has_tables == tabled
+    assert (f.add.__func__, f.sub.__func__, f.neg.__func__) == (
+        gf.Field.add, gf.Field.sub, gf.Field.neg)
+    xs = random.Random(p ** m).sample(range(f.order), min(f.order, 40))
+    for x in xs:
+        cx = f.coeffs(x)
+        assert f.coeffs(f.neg(x)) == [-a % p for a in cx]
+        for y in xs:
+            pairs = list(zip(cx, f.coeffs(y)))
+            assert f.coeffs(f.add(x, y)) == [(a + b) % p for a, b in pairs]
+            assert f.coeffs(f.sub(x, y)) == [(a - b) % p for a, b in pairs]
+
+
+@pytest.mark.parametrize("m", [1, 4, 12])
+def test_characteristic_two_adds_by_xor(m):
+    f = make_field(2, m)
+    assert f.has_tables
+    assert (f.add, f.sub, f.neg) == (operator.xor, operator.xor, operator.pos)
 
 
 def test_reducible_modulus_rejected():

@@ -63,6 +63,32 @@ def test_sampled_stabilizer_stdout_digest(argv, code, sha256, capsys):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,code,sha256", [
+    (["classify", "--q", "5"], 0,
+     "a9378dfaace0b95cafd32dfb9848e82078b9416a4772939e74ce9f6e55d402b2"),
+    (["classify", "--q", "7"], 0,
+     "47c93059a47ca12b2957fb1d2485a9c942fd2bd0116c99968b3cee10577867b7"),
+    (["build", "--q", "5", "--case", "c3", "--fermat"], 0,
+     "1104ceb138c9e6b12d92c00da0de2c15334c563fee2fde4dfbafa5be206d5fa8"),
+    (["build", "--q", "7", "--case", "c3", "--fermat"], 0,
+     "1926d51dfcc630c071ac0181e0f564f19f09c1e5826b4f58590c0c4ad4929479"),
+    (["stabilizer", "--q", "5", "--case", "c3", "--samples", "0"], 0,
+     "f2921b172c87e425b44e5f19ad4ec1cfb681535aa982a459a3c478b40797cd00"),
+    (["stabilizer", "--q", "7", "--case", "c3", "--samples", "0"], 2,
+     "845798048701a5191d13c05901e2e1bc1109dd262689afc7f212e54f94db5de8"),
+], ids=["classify_q5", "classify_q7", "build_c3_q5_fermat",
+        "build_c3_q7_fermat", "stabilizer_c3_q5", "stabilizer_c3_q7"])
+def test_odd_characteristic_stdout_digest(argv, code, sha256, capsys):
+    """Odd-characteristic commands past q = 3, pinned by the digest of
+    stdout as written when tabled fields of odd p added by Zech logarithms.
+    Every field now adds digit by digit, so the bytes must not move.  The
+    c3 q = 7 stabilizer exits 2: its order is twice the closed form
+    (README finding 2)."""
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
 def test_stabilizer_c3_q3_full_small_gf9_report():
     M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
     text = json.dumps(full_small_report(M), indent=2, sort_keys=True) + "\n"
