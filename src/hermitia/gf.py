@@ -18,6 +18,12 @@ digit mod p, tabled or not.  Fields are interned by (p, m, modulus): two
 calls to make_field with the same data return the same object, and
 elements of distinct Field objects must never be mixed.
 
+The field's order decides how a table is stored.  Up to 257 elements it
+is a list: every entry is one of CPython's shared small ints, so a list
+costs no more memory than an array and indexes faster.  Above that it is
+a C array of 4-byte unsigned ints, 8 bytes per element for exp and log
+together, where lists of int objects took about 77.
+
 Every CLI call builds the fields it needs from scratch, so table building
 is part of what each process pays before its answer.  The exp table is
 built by stepping with precomputed half products (for p = 2, by blocks of
@@ -34,7 +40,9 @@ from functools import lru_cache
 
 from . import poly
 
-TABLE_LIMIT = 1 << 20  # build exp/log tables (multiplicative group) up to this size
+# build exp/log tables (multiplicative group) up to this size; every entry is
+# below it, so it fits the 4-byte arrays that fields above 257 elements use
+TABLE_LIMIT = 1 << 20
 
 
 class FieldError(ValueError):
@@ -204,10 +212,13 @@ class Field:
     def _bind_tables(self):
         """Build exp/log tables and bind table lookups for the
         multiplicative group over the coefficient methods; addition stays
-        digit arithmetic."""
+        digit arithmetic.  Both tables are lists up to 257 elements and
+        4-byte arrays above (_zero_table), filled in place, so no
+        full-length list of int objects ever exists: about 8 bytes per
+        element instead of 77."""
         n = self.order - 1
         exp = _power_table(self)  # exp[i] = g^i
-        log = [0] * self.order
+        log = _zero_table(self, self.order)
         for i, v in enumerate(exp):
             log[v] = i
 
@@ -384,8 +395,20 @@ class Field:
         return sorted(self.exp_gen(base + t * nd) for t in range(d))
 
 
-def _power_table(field: Field) -> list:
-    """[g^0, g^1, ..., g^(order-2)] for the canonical generator g.
+def _zero_table(field: Field, size: int):
+    """A table of `size` zeros for entries below field.order: a list up to
+    257 elements, above that array("I") (see the module docstring).  Stores
+    into "I" take a faster path than into "i", and array is imported only
+    when a large table is made."""
+    if field.order <= 257:
+        return [0] * size
+    from array import array
+    return array("I", [0]) * size
+
+
+def _power_table(field: Field):
+    """[g^0, g^1, ..., g^(order-2)] for the canonical generator g, in a
+    _zero_table list or array, built without a full-length list.
 
     For odd p, multiplication by g is GF(p)-linear, so each step splits the
     packed power into a low half (the m // 2 low digits) and a high half
@@ -400,8 +423,9 @@ def _power_table(field: Field) -> list:
     x c = (x_lo c) XOR (x_hi c) for the low m // 2 bits x_lo of x and the
     rest x_hi.  Since g^(kB + r) = g^((k-1)B + r) g^B, each later block of B
     powers is the previous block mapped by x -> x g^B: two half lookups
-    XORed per power, in one comprehension per block.  Odd p keeps the
-    stepper: a block version measured no faster there."""
+    XORed per power, in one short list per block, appended to the table.
+    Odd p keeps the stepper, storing into a preallocated table: a block
+    version measured no faster there."""
     p, m = field.p, field.m
     g = field._gen
     n = field.order - 1
@@ -409,17 +433,20 @@ def _power_table(field: Field) -> list:
     plow = p ** low
     # Field.mul is the coefficient method, whatever the instance has bound
     if p == 2:
-        exp = [1]
-        while len(exp) < plow:
-            exp.append(Field.mul(field, exp[-1], g))
-        g_b = Field.mul(field, exp[-1], g)
+        block = [1]
+        while len(block) < plow:
+            block.append(Field.mul(field, block[-1], g))
+        g_b = Field.mul(field, block[-1], g)
         lo_times_gb = [Field.mul(field, x, g_b) for x in range(plow)]
         hi_times_gb = [Field.mul(field, x << low, g_b)
                        for x in range(1 << (m - low))]
         lo_bits = plow - 1
+        exp = _zero_table(field, 0)
+        exp.extend(block)
         while len(exp) < n:
-            exp += [lo_times_gb[v & lo_bits] ^ hi_times_gb[v >> low]
-                    for v in exp[-plow:]]
+            block = [lo_times_gb[v & lo_bits] ^ hi_times_gb[v >> low]
+                     for v in block]
+            exp.extend(block)
         del exp[n:]
         return exp
     bits = (2 * p - 2).bit_length()
@@ -443,7 +470,7 @@ def _power_table(field: Field) -> list:
     mask = (1 << bits * low) - 1
     shift = bits * low
     lo, hi = (1, 0) if low else (0, 1)
-    exp = [0] * n
+    exp = _zero_table(field, n)
     for i in range(n):
         exp[i] = lo + hi * plow
         s = lo_times_g[lo] + hi_times_g[hi]

@@ -1,6 +1,8 @@
 import itertools
 import operator
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,25 @@ def test_tables_equal_the_stepped_reference(p, m):
     exp, log = stepped_tables(f)
     assert [f.exp_gen(k) for k in range(f.order - 1)] == exp
     assert [f.dlog(v) for v in range(1, f.order)] == log[1:]
+
+
+@pytest.mark.parametrize("p,m", [(2, 18), (7, 6)])
+def test_large_tables_cost_at_most_16_bytes_per_element(p, m):
+    """Above 257 elements a table entry is no longer one of CPython's
+    shared small ints, so a list would pay a slot plus an int object, about
+    77 bytes per element for exp and log together.  Stored as 4-byte C
+    arrays, building the field, tables included, peaks at 16 bytes per
+    element or less, and every entry below TABLE_LIMIT fits the array."""
+    assert array("I").itemsize * 8 >= gf.TABLE_LIMIT.bit_length()
+    modulus = gf.default_modulus(p, m)
+    tracemalloc.start()
+    try:
+        f = gf.Field(p, m, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.has_tables
+    assert peak <= 16 * f.order, peak / f.order
 
 
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])

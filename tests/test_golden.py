@@ -89,6 +89,25 @@ def test_odd_characteristic_stdout_digest(argv, code, sha256, capsys):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,code,sha256", [
+    (["classify", "--q", "32"], 0,
+     "0792be88da96f356dda6cbc9d1511713268be5871673c19014d19d8bca09fb04"),
+    (["stabilizer", "--q", "9", "--case", "c3", "--samples", "0"], 0,
+     "37ec357c6642b4420a964b847aa2a0ddfd16e17759c2e762e65737268d076b65"),
+    (["build", "--q", "8", "--case", "c2", "--fermat"], 0,
+     "7738e7e0b08b4d2b2b4b00db2dc9170217f3bd6c7ce9cf2d639eddecbe874805"),
+], ids=["classify_q32", "stabilizer_c3_q9", "build_c2_q8_fermat"])
+def test_largest_table_stdout_digest(argv, code, sha256, capsys):
+    """The commands that build the largest tables: GF(2^20), exactly at
+    TABLE_LIMIT, for classify --q 32; GF(3^12) for the c3 q = 9
+    stabilizer; GF(2^18) for the c2 q = 8 build.  Pinned by the digest of
+    stdout as written when every table was a list of ints, so storing
+    them as C arrays must not move a byte."""
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
 def test_stabilizer_c3_q3_full_small_gf9_report():
     M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
     text = json.dumps(full_small_report(M), indent=2, sort_keys=True) + "\n"
