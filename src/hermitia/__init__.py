@@ -14,7 +14,7 @@ from .classify import (ClassificationReport, SolutionSpace, case_shape_check,
                        enumerate_admissible, exists_invertible, solution_space)
 from .orbit import (BigForm, StabilizerReport, CountReport, INFINITE, act,
                     aut_order, build_curve, canonical_rep, count_Td,
-                    count_report, embed_qprime, normalize_to_rep, stab_order,
-                    stabilizer_search, sympow, twisted_congruence_solve)
+                    count_report, embed_qprime, stab_order, stabilizer_search,
+                    sympow, twisted_congruence_solve)
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ import math
 from . import gf
 from .matff import Mat
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature, SignatureError,
-                    canonical_signature, case_signature, expand_form,
-                    exponent_matrix)
+                    canonical_signature, case_signature, exponent_matrix,
+                    is_identically_zero)
 
 _WITNESS_SEARCH_BITS = 24   # exhaustive witness hunt over GF(q^2)^dim up to 2^24 vectors
 _GRID_DIM_LIMIT = 10        # 5^dim grid guard; never hit at desk scale
@@ -54,10 +54,6 @@ class SolutionSpace:
     @property
     def dim(self) -> int:
         return sum(len(group) - 1 for group in self.groups)
-
-    def contains(self, B: Mat) -> bool:
-        """Exact membership; works over any extension of the base field."""
-        return not expand_form(self.sig, self.q, B)
 
     def combination(self, coeffs, fld=None) -> Mat:
         """B with the k-th free cell of each group set from coeffs (the group
@@ -209,7 +205,7 @@ def match_case_shape(space: SolutionSpace, case: str, q: int,
         shape = [Mat(b.field, [row[::-1] for row in b.data[::-1]]) for b in shape]
     if space.dim != len(shape):
         return False
-    return all(space.contains(b) for b in shape)
+    return all(is_identically_zero(space.sig, space.q, b) for b in shape)
 
 
 class AdmissibleEntry:

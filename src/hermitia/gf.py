@@ -373,10 +373,6 @@ class Field:
 
     # -- derived ------------------------------------------------------------------
 
-    def generator(self) -> int:
-        """Smallest (in packed order) generator of the multiplicative group."""
-        return self._gen
-
     def in_subfield(self, x: int, suborder: int) -> bool:
         """Whether x lies in the subfield with `suborder` elements."""
         return self.pow(x, suborder) == x

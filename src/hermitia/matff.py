@@ -82,10 +82,6 @@ class Mat:
             out.append(orow)
         return Mat(f, out)
 
-    def scalar(self, c: int) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.mul(c, a) for a in r] for r in self.data])
-
     def transpose(self) -> "Mat":
         return Mat(self.field, list(zip(*self.data)))
 
@@ -139,13 +135,11 @@ class Mat:
 
     # -- field changes --------------------------------------------------------------
 
-    def map_entries(self, emb: gf.Embedding) -> "Mat":
-        return Mat(emb.dst, [[emb(x) for x in r] for r in self.data])
-
     def lift_to(self, field: Field) -> "Mat":
         if field is self.field:
             return self
-        return self.map_entries(gf.make_embedding(self.field, field))
+        emb = gf.make_embedding(self.field, field)
+        return Mat(field, [[emb(x) for x in r] for r in self.data])
 
     # -- JSON ------------------------------------------------------------------------
 
@@ -309,13 +303,6 @@ class SurfaceSpec:
     @property
     def hermitian(self) -> bool:
         return is_hermitian(self.gram, self.q)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "gram": self.gram.to_json()}
-
-    @classmethod
-    def from_json(cls, obj) -> "SurfaceSpec":
-        return cls(obj["q"], Mat.from_json(obj["gram"]))
 
 
 def fermat_surface(q: int) -> SurfaceSpec:

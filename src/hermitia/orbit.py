@@ -1,6 +1,6 @@
-"""Symmetric-power action on big form matrices, equivalence and normalization
-of the standard form representatives, twisted congruence solving, the
-diagonal stabilizer, and the closed-form curve counts.
+"""Symmetric-power action on big form matrices, equivalence of the standard
+form representatives, twisted congruence solving, the diagonal stabilizer,
+and the closed-form curve counts.
 
 Degree-d monomial vectors live in a (d+1)-dimensional space indexed by the
 t-exponent 0..d.  A 4x4 form matrix supported on the four exponents
@@ -220,11 +220,6 @@ def diag_weight(u: int, w: int, d: int, q: int):
     return (d - u) + q * (d - w), u + q * w
 
 
-def star_positions(case: str, q: int):
-    """The four t-exponents (0, i, j, d) carrying the sparse big form."""
-    return case_signature(case, q).exponents
-
-
 class BigForm:
     """Sparse (d+1)x(d+1) form matrix over the monomial index space."""
 
@@ -248,8 +243,8 @@ def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
     the big space."""
     if not case_shape_check(B4, case, q):
         raise OrbitError("core matrix violates the case shape")
-    pos = star_positions(case, q)
-    n = case_signature(case, q).d + 1
+    sig = case_signature(case, q)
+    pos, n = sig.exponents, sig.d + 1
     cells = {}
     for l in range(4):
         for m in range(4):
@@ -452,7 +447,7 @@ def inflate_case1(params: Mat, q: int = 2) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# normalization to the representative (diagonal reparametrization)
+# twisted congruence solving
 # ---------------------------------------------------------------------------
 
 def _extension_ladder(src: Field, q: int, max_ext: int, search: str):
@@ -473,48 +468,6 @@ def _extension_ladder(src: Field, q: int, max_ext: int, search: str):
         f"no {search} within GF(q^(2m)), m <= {max_ext}, field size <= "
         f"2^{_UNTWIST_FIELD_LIMIT.bit_length() - 1}; field orders tried: {tried}")
 
-
-def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
-    """Diagonal reparametrization g = diag(l, m) over GF(q^(2m)), m <= max_ext,
-    carrying a b2-free core of the degree-q(q+1) or half-degree shape onto the
-    canonical representative.  diagonal_solutions fixes l/m = x^X up to
-    X == X0 (mod step); diag(m, m) scales every cell by m^(d(q+1)), so the
-    scalar is one more congruence, on any one cell.  The output is verified
-    through act before return."""
-    if case not in (CASE_C2, CASE_C3):
-        raise OrbitError("diagonal normalization applies to the c2/c3 shapes")
-    if q < 3:
-        raise OrbitError("normalization targets the q >= 3 representative")
-    if not case_shape_check(B4, case, q) or B4.data[0][3] != 0:
-        raise OrbitError("core must match the case shape with zero corner entry")
-    e = case_signature(case, q).d * (q + 1)
-    big4 = embed_qprime(B4, case, q)
-    rep4 = embed_qprime(canonical_rep(case, q), case, q)
-    for fld, _ in _extension_ladder(B4.field, q, max_ext,
-                                    "diagonal normalization"):
-        big, target = big4.lift_to(fld), rep4.lift_to(fld)
-        sol = diagonal_solutions(big, target)
-        if sol is None:
-            continue
-        x0, step = sol
-        n, k = fld.order - 1, math.gcd(e, fld.order - 1)
-        (u, w), v = next(iter(big.cells.items()))
-        a = diag_weight(u, w, big.n - 1, q)[0]
-        r = fld.dlog(fld.div(target.cells[(u, w)], v))
-        # m^e = x^(r - a X) needs r - a X == 0 (mod gcd(e, n))
-        t = _solve_linear_congruence(a * step % k, (r - a * x0) % k, k)
-        if t is None:
-            continue
-        X = x0 + step * t
-        Y = _solve_linear_congruence(e % n, (r - a * X) % n, n)
-        g = Mat(fld, [[fld.exp_gen(X + Y), 0], [0, fld.exp_gen(Y)]])
-        if proportional(act(big, g), target) == 1:
-            return g
-
-
-# ---------------------------------------------------------------------------
-# twisted congruence solving
-# ---------------------------------------------------------------------------
 
 def _signed_permutation_cycles(M: Mat):
     """Decompose an invertible monomial matrix into cycles
@@ -724,7 +677,8 @@ def diagonal_stabilizer(M: BigForm) -> list:
     mul = f.mul
     n = f.order - 1
     step = n // diagonal_fixing_order(M, n)
-    gen = [f.exp_gen(-step * k % n) for k in star_positions(M.case, M.q)]
+    gen = [f.exp_gen(-step * k % n)
+           for k in case_signature(M.case, M.q).exponents]
     stars, cur = [], [1] * len(gen)
     while True:
         stars.append(Mat.diagonal(f, cur))
@@ -756,7 +710,7 @@ def nondiagonal_excluded(M: BigForm) -> bool:
     S, p), which reads nothing else.  Raises OrbitError if M leaves S x S
     or its core is singular, where the lemma does not apply."""
     f = M.field
-    pos = star_positions(M.case, M.q)
+    pos = case_signature(M.case, M.q).exponents
     stars = set(pos)
     if any(r not in stars or c not in stars for r, c in M.cells):
         raise OrbitError("internal: support-row test needs a form on the stars")

@@ -157,11 +157,6 @@ class CurveSpec:
     def nonplanar(self) -> bool:
         return self.frame.is_invertible()
 
-    def point(self, s: int, t: int):
-        f = self.frame.field
-        v = monomial_point(self.sig, f, s, t)
-        return [_dot(f, row, v) for row in self.frame.data]
-
     def to_json(self) -> dict:
         return {"q": self.q, "sig": list(self.sig.astuple()),
                 "frame": self.frame.to_json()}
@@ -175,14 +170,6 @@ def monomial_point(sig: Signature, field: Field, s: int, t: int):
     """(s^d, s^(d-i) t^i, s^(d-j) t^j, t^d) over the field."""
     return [field.mul(field.pow(s, sig.d - e), field.pow(t, e))
             for e in sig.exponents]
-
-
-def _dot(f, row, v):
-    acc = 0
-    for a, b in zip(row, v):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 def on_surface(curve: CurveSpec, surf: SurfaceSpec) -> bool:

@@ -16,6 +16,12 @@ are references in the same sense.  So are the field tables built one
 multiplication per power, where the package steps by half products and, in
 characteristic 2, by blocks, and the prime power split by trial division,
 where the package takes integer roots and a Miller-Rabin test.
+
+A few references have no fast counterpart; no command needs them, so they
+live here rather than in the package: normalize_to_rep, the diagonal
+reparametrization of a c2/c3 core onto the representative over the same
+extension ladder build uses; curve_point, a curve's point at one
+parameter; and scale, a matrix times a scalar.
 """
 
 import itertools
@@ -23,16 +29,18 @@ import math
 
 from hermitia import gf
 from hermitia.classify import (_DIFFERENCES, AdmissibleEntry,
-                               ClassificationReport, exists_invertible,
-                               expected_cases, match_case_shape,
-                               solution_space)
+                               ClassificationReport, case_shape_check,
+                               exists_invertible, expected_cases,
+                               match_case_shape, solution_space)
 from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
                             twisted_gram)
-from hermitia.orbit import (OrbitError, StabilizerReport, act, proportional,
-                            stab_order, star_positions, sympow)
-from hermitia.tetra import (Signature, SmoothnessReport, case_signature,
-                            defining_equations, eval_equation, jacobian_rank,
-                            monomial_point, normalize_point)
+from hermitia.orbit import (OrbitError, StabilizerReport,
+                            _extension_ladder, _solve_linear_congruence, act,
+                            canonical_rep, diag_weight, diagonal_solutions,
+                            embed_qprime, proportional, stab_order, sympow)
+from hermitia.tetra import (CASE_C2, CASE_C3, Signature, SmoothnessReport,
+                            case_signature, defining_equations, eval_equation,
+                            jacobian_rank, monomial_point, normalize_point)
 
 _GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for the exhaustive PGL2 scan
 
@@ -53,11 +61,17 @@ def _pgl2_elements(fld):
         (Mat(fld, [[0, 1], [c, e]]) for c in F if c for e in F))
 
 
+def scale(M: Mat, c: int) -> Mat:
+    """c M, entry by entry."""
+    f = M.field
+    return Mat(f, [[f.mul(c, a) for a in r] for r in M.data])
+
+
 def _normalize_projective(M: Mat) -> Mat:
     for row in M.data:
         for v in row:
             if v:
-                return M.scalar(M.field.inv(v))
+                return scale(M, M.field.inv(v))
     raise OrbitError("zero matrix is not projective")
 
 
@@ -82,7 +96,7 @@ def _group_is_cyclic(elements) -> bool:
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:
     """The 4x4 block of sympow(g, d) at the case's four star positions."""
-    pos = star_positions(case, q)
+    pos = case_signature(case, q).exponents
     phi = sympow(g, pos[-1])
     return Mat(g.field, [[phi.data[r][c] for c in pos] for r in pos])
 
@@ -121,7 +135,55 @@ def full_small_report(M) -> dict:
     return doc
 
 
+# -- normalization to the representative ---------------------------------------
+
+def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
+    """Diagonal reparametrization g = diag(l, m) over GF(q^(2m)), m <= max_ext,
+    carrying a b2-free core of the degree-q(q+1) or half-degree shape onto the
+    canonical representative.  diagonal_solutions fixes l/m = x^X up to
+    X == X0 (mod step); diag(m, m) scales every cell by m^(d(q+1)), so the
+    scalar is one more congruence, on any one cell.  The output is verified
+    through act before return."""
+    if case not in (CASE_C2, CASE_C3):
+        raise OrbitError("diagonal normalization applies to the c2/c3 shapes")
+    if q < 3:
+        raise OrbitError("normalization targets the q >= 3 representative")
+    if not case_shape_check(B4, case, q) or B4.data[0][3] != 0:
+        raise OrbitError("core must match the case shape with zero corner entry")
+    e = case_signature(case, q).d * (q + 1)
+    big4 = embed_qprime(B4, case, q)
+    rep4 = embed_qprime(canonical_rep(case, q), case, q)
+    for fld, _ in _extension_ladder(B4.field, q, max_ext,
+                                    "diagonal normalization"):
+        big, target = big4.lift_to(fld), rep4.lift_to(fld)
+        sol = diagonal_solutions(big, target)
+        if sol is None:
+            continue
+        x0, step = sol
+        n, k = fld.order - 1, math.gcd(e, fld.order - 1)
+        (u, w), v = next(iter(big.cells.items()))
+        a = diag_weight(u, w, big.n - 1, q)[0]
+        r = fld.dlog(fld.div(target.cells[(u, w)], v))
+        # m^e = x^(r - a X) needs r - a X == 0 (mod gcd(e, n))
+        t = _solve_linear_congruence(a * step % k, (r - a * x0) % k, k)
+        if t is None:
+            continue
+        X = x0 + step * t
+        Y = _solve_linear_congruence(e % n, (r - a * X) % n, n)
+        g = Mat(fld, [[fld.exp_gen(X + Y), 0], [0, fld.exp_gen(Y)]])
+        if proportional(act(big, g), target) == 1:
+            return g
+
+
 # -- smoothness --------------------------------------------------------------
+
+def curve_point(curve, s, t):
+    """The point F . (s^d, s^(d-i) t^i, s^(d-j) t^j, t^d) of the curve at
+    the parameter (s, t), F its frame."""
+    F = curve.frame
+    v = monomial_point(curve.sig, F.field, s, t)
+    return [x for x, in F.mul(Mat(F.field, [[x] for x in v])).data]
+
 
 def projective_line(field):
     """All points of P^1 over the field: (1 : t) for every t, then (0 : 1)."""
@@ -264,7 +326,7 @@ def prime_power_split_by_trial_division(q: int):
 def stepped_tables(field):
     """The exp and log tables of a field, one coefficient multiplication
     per power of the generator: exp[k] = g^k, log[exp[k]] = k (log[0] = 0)."""
-    g = field.generator()
+    g = field.exp_gen(1)
     exp, v = [], 1
     for _ in range(field.order - 1):
         exp.append(v)

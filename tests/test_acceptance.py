@@ -251,7 +251,7 @@ def test_criterion_08_cube_root_structure():
     fld16 = gf.make_field(2, 4)
     fld64 = gf.make_field(2, 6)
     # non-cube ratio: exhaustively inequivalent over GL2(GF(16))
-    gen16 = fld16.generator()
+    gen16 = fld16.exp_gen(1)
     assert fld16.pow(gen16, 5) != 1       # not a cube in GF(16)*
     verd = pairwise_equivalence([_c2_form(1, fld4).lift_to(fld16),
                                  _c2_form(gen16, fld16)], fld16)
@@ -314,7 +314,7 @@ def test_criterion_09_property_suites():
         emb = gf.make_embedding(gf.gfq2(q), big)
         for _ in range(8):
             B = random_mat(gf.gfq2(q), 4, 4, rng)
-            dense = all(evaluate_form(sig, q, B.map_entries(emb), s, t) == 0
+            dense = all(evaluate_form(sig, q, B.lift_to(emb.dst), s, t) == 0
                         for s, t in projective_line(big))
             assert dense == is_identically_zero(sig, q, B)
 

@@ -55,7 +55,7 @@ def test_solution_space_combinations_vanish(sig, q):
         for _ in range(10):
             B = sp.combination([rng.randrange(fld.order) for _ in range(sp.dim)],
                                fld)
-            assert sp.contains(B)
+            assert is_identically_zero(sp.sig, sp.q, B)
             assert expand_form(sig, q, B) == {}
 
 
@@ -135,7 +135,8 @@ def test_enumerate_admissible_q3():
     for e in rep.admissible:
         assert e.witness.det() != 0
         sp = solution_space(e.sig, 3)
-        assert sp.contains(e.witness.lift_to(e.witness.field))
+        assert is_identically_zero(sp.sig, sp.q,
+                                   e.witness.lift_to(e.witness.field))
 
 
 def test_enumerate_admissible_q2_finds_extra_degree4_family():

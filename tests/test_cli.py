@@ -315,6 +315,18 @@ def test_exhausted_build_exits_4_naming_the_field_bound():
     assert "m <= 6, field size <= 2^18; field orders tried: [4096]" in lines[0]
 
 
+def test_exhausted_build_exits_4_naming_the_max_ext_bound():
+    """The c2 three-cycle needs GF(q^6); --max-ext 2 ends the ladder at
+    GF(q^4), below the field-size bound, and the reason names it."""
+    proc = run_process(["build", "--q", "4", "--case", "c2", "--fermat",
+                        "--max-ext", "2"])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "m <= 2, field size <= 2^18; field orders tried: [16, 256]" in lines[0]
+
+
 def test_cli_imports_only_the_standard_library():
     """hermitia needs nothing outside the standard library.  -S leaves
     site-packages off the path, so importing an installed third-party package

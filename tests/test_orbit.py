@@ -17,17 +17,16 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             diag_weight, diagonal_fixing_order,
                             diagonal_solutions, diagonal_stabilizer,
                             embed_qprime, inflate_case1, lucas_exponents,
-                            nondiagonal_excluded, normalize_to_rep,
-                            pairwise_equivalence,
+                            nondiagonal_excluded, pairwise_equivalence,
                             proportional, q2_lambda_member,
                             q2_parameter_matrices, stab_order,
-                            stabilizer_search, star_positions,
-                            support_rows_exclude,
+                            stabilizer_search, support_rows_exclude,
                             sympow, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
-from oracles import (_group_is_cyclic, _pgl2_elements,
-                     diagonal_scan_stabilizer, full_small_stabilizer)
+from oracles import (_group_is_cyclic, _pgl2_elements, curve_point,
+                     diagonal_scan_stabilizer, full_small_stabilizer,
+                     normalize_to_rep, scale)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -115,7 +114,7 @@ def test_sympow_star_closed_form(q, ext):
     g (nonzero diagonal)."""
     fld = gf.gf_ext(q, ext)
     d = case_signature(CASE_C2, q).d
-    pos = star_positions(CASE_C2, q)
+    pos = case_signature(CASE_C2, q).exponents
     P = fld.pow
     rng = random.Random(1)
     checked = 0
@@ -144,16 +143,16 @@ def test_sympow_star_closed_form(q, ext):
 # -- big forms and the action ------------------------------------------------------
 
 def test_star_positions():
-    assert star_positions(CASE_C1, 3) == (0, 1, 3, 4)
-    assert star_positions(CASE_C2, 4) == (0, 5, 17, 20)
-    assert star_positions(CASE_C3, 3) == (0, 2, 5, 6)
+    assert case_signature(CASE_C1, 3).exponents == (0, 1, 3, 4)
+    assert case_signature(CASE_C2, 4).exponents == (0, 5, 17, 20)
+    assert case_signature(CASE_C3, 3).exponents == (0, 2, 5, 6)
 
 
 def test_embed_project_roundtrip():
     M1 = canonical_rep(CASE_C1, 3)
     big = embed_qprime(M1, CASE_C1, 3)
     assert big.n == 5
-    pos = star_positions(CASE_C1, 3)
+    pos = case_signature(CASE_C1, 3).exponents
     assert big.cells == {(pos[l], pos[m]): M1.data[l][m] for l in range(4)
                          for m in range(4) if M1.data[l][m]}
 
@@ -519,7 +518,7 @@ def test_pairwise_equivalence_matches_gl2_scan_planted_nondiagonal(case, q, fld)
     """A random form on the star positions and its image under a random g
     that is not diagonal."""
     rng = random.Random(fld.order)
-    pos = star_positions(case, q)
+    pos = case_signature(case, q).exponents
     M = _random_form(case, q, fld, rng,
                      [(r, c) for r in pos for c in pos if rng.random() < 0.5])
     g = _invertible(fld, rng)
@@ -577,7 +576,7 @@ def test_stabilizer_c3_q3_exhaustive_diagonal():
         for e2 in rep.elements:
             prod = e1.mul(e2)
             nz = next(v for row in prod.data for v in row if v)
-            assert prod.scalar(f.inv(nz)).key() in keys
+            assert scale(prod, f.inv(nz)).key() in keys
 
 
 def test_stabilizer_c3_q3_contains_order_two_element():
@@ -646,7 +645,7 @@ def test_diagonal_stabilizer_matches_scan_on_random_supports(case, q, m):
     """The same comparison on forms with random cells on the case's star
     positions, where the gcd needs every cell of the support."""
     fld = gf.gf_ext(q, m)
-    pos = star_positions(case, q)
+    pos = case_signature(case, q).exponents
     rng = random.Random(10 * q + m)
     for _ in range(3):
         cells = {(r, c): rng.randrange(1, fld.order)
@@ -711,23 +710,23 @@ def test_order_two_stabilizer_element_on_fermat_surface():
     A = surf.gram.lift_to(fld)
     assert gamma.transpose().mul(A).mul(gamma.powq(q)) == A
     nz = next(v for row in gamma.data for v in row if v)
-    assert gamma.scalar(fld.inv(nz)) != Mat.identity(fld, 4)
+    assert scale(gamma, fld.inv(nz)) != Mat.identity(fld, 4)
     sq = gamma.mul(gamma)
     nz = next(v for row in sq.data for v in row if v)
-    assert sq.scalar(fld.inv(nz)) == Mat.identity(fld, 4)
+    assert scale(sq, fld.inv(nz)) == Mat.identity(fld, 4)
     rng = random.Random(0)
     for _ in range(20):
         s, t = rng.randrange(fld.order), rng.randrange(fld.order)
         if not (s or t):
             continue
-        x = curve.point(s, t)
+        x = curve_point(curve, s, t)
         gx = [0] * 4
         for r in range(4):
             acc = 0
             for c in range(4):
                 acc = fld.add(acc, fld.mul(gamma.data[r][c], x[c]))
             gx[r] = acc
-        y = curve.point(s, fld.neg(t))
+        y = curve_point(curve, s, fld.neg(t))
         ratios = {fld.div(a, b) for a, b in zip(gx, y) if a or b
                   if (a != 0) == (b != 0)}
         assert len(ratios) == 1 and all((a == 0) == (b == 0)
@@ -754,7 +753,7 @@ def test_span_escape_rejects_every_nondiagonal_shape_for_c2_c3(case, q):
     at q <= 49: t^q, not a star, is in the support of the full rows 0 and
     d, and an anti-diagonal g moves row j to d - j, not a star either."""
     M = embed_qprime(case_target(case, q), case, q)
-    pos = star_positions(case, q)
+    pos = case_signature(case, q).exponents
     d, j, stars = M.n - 1, pos[2], set(pos)
     assert q in lucas_exponents(d, M.field.p) and q not in stars
     assert d - j == (q - 1 if case == CASE_C2 else (q - 1) // 2)

@@ -14,8 +14,8 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             jacobian_minors, jacobian_rank, minor_gcd,
                             normalize_point, on_surface, smoothness_scan)
 from matrices import random_mat
-from oracles import (evaluate_form, projective_line, smoothness_walk,
-                     walk_smoothness)
+from oracles import (curve_point, evaluate_form, projective_line, scale,
+                     smoothness_walk, walk_smoothness)
 
 
 # -- signatures -----------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_expansion_agrees_with_point_evaluation(q):
     emb = gf.make_embedding(f2, big)
     for trial in range(12):
         B = random_mat(f2, 4, 4, rng)
-        Bb = B.map_entries(emb)
+        Bb = B.lift_to(emb.dst)
         vanishes = all(evaluate_form(sig, q, Bb, s, t) == 0
                        for s, t in projective_line(big))
         assert vanishes == is_identically_zero(sig, q, B)
@@ -158,10 +158,10 @@ def test_on_surface_scale_invariance():
     F = twisted_congruence_solve(surf.gram, case_target(CASE_C1, q), q)
     fld = F.field
     for c in (2, 5):
-        scaled = CurveSpec(q, case_signature(CASE_C1, q), F.scalar(c % fld.order or 2))
+        scaled = CurveSpec(q, case_signature(CASE_C1, q), scale(F, c % fld.order or 2))
         assert on_surface(scaled, surf)
     surf_scaled = fermat_surface(q)
-    surf_scaled.gram = surf_scaled.gram.scalar(2)
+    surf_scaled.gram = scale(surf_scaled.gram, 2)
     curve = CurveSpec(q, case_signature(CASE_C1, q), F)
     assert on_surface(curve, surf_scaled)
 
@@ -186,7 +186,7 @@ def test_parametrized_points_satisfy_equations():
         eqs = defining_equations(case, q)
         curve = CurveSpec(q, sig, Mat.identity(fld, 4))
         for s, t in projective_line(fld):
-            pt = curve.point(s, t)
+            pt = curve_point(curve, s, t)
             assert all(eval_equation(eq, pt, fld) == 0 for eq in eqs)
 
 
