@@ -116,21 +116,79 @@ def _build_parser() -> _Parser:
 
 
 def _emit(doc: dict, cfg) -> None:
-    if cfg.fmt == "tsv":
-        lines = []
-        for key, val in _flatten(doc):
-            lines.append(f"{key}\t{val}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                fh.write(text)
+                _write(doc, cfg.fmt, fh.write)
         except OSError as exc:
             raise InputError(f"cannot write {cfg.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        _write(doc, cfg.fmt, sys.stdout.write)
+
+
+def _write(doc: dict, fmt: str, write) -> None:
+    if fmt == "tsv":
+        write("\n".join(f"{key}\t{val}" for key, val in _flatten(doc)) + "\n")
+    else:
+        _write_json(doc, write)
+
+
+_CHUNK = 2048  # pieces per write; with PYTHONUNBUFFERED every write is a syscall
+
+
+def _write_json(doc, write) -> None:
+    """Pass json.dumps(doc, indent=2, sort_keys=True) + "\n" to write, a
+    few thousand pieces per call, without ever holding the whole text.
+    json's encoder is pure Python whenever indent is set; this one renders
+    each list of ints once per indent level and reuses the text, so the
+    coefficient lists a report repeats cost one lookup each.  Dict keys
+    must be strings, as in every report."""
+    pieces = []
+    int_lists = {}  # (values, level) -> text of a list of plain ints
+    escape = json.encoder.encode_basestring_ascii
+
+    def put(o, level):
+        if isinstance(o, str):
+            pieces.append(escape(o))
+        elif type(o) is int:
+            pieces.append(repr(o))
+        elif isinstance(o, dict):
+            if not o:
+                pieces.append("{}")
+                return
+            open_ = "{\n" + "  " * (level + 1)
+            for k in sorted(o):
+                pieces.append(open_ + escape(k) + ": ")
+                put(o[k], level + 1)
+                open_ = ",\n" + "  " * (level + 1)
+            pieces.append("\n" + "  " * level + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                pieces.append("[]")
+            elif all(type(x) is int for x in o):  # not bool: True == 1
+                key = (tuple(o), level)
+                text = int_lists.get(key)
+                if text is None:
+                    inner = "\n" + "  " * (level + 1)
+                    text = int_lists[key] = ("[" + inner + ("," + inner).join(
+                        map(repr, o)) + "\n" + "  " * level + "]")
+                pieces.append(text)
+            else:
+                open_ = "[\n" + "  " * (level + 1)
+                for x in o:
+                    pieces.append(open_)
+                    put(x, level + 1)
+                    open_ = ",\n" + "  " * (level + 1)
+                pieces.append("\n" + "  " * level + "]")
+        else:  # None, bool, float and int subclasses, as json writes them
+            pieces.append(json.dumps(o))
+        if len(pieces) >= _CHUNK:
+            write("".join(pieces))
+            pieces.clear()
+
+    put(doc, 0)
+    pieces.append("\n")
+    write("".join(pieces))
 
 
 def _flatten(doc, prefix=""):

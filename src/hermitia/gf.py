@@ -7,16 +7,21 @@ field element hashable and orderable for free.  The packed order 0, 1, 2, ...
 is the fixed enumeration order used everywhere a "first" or "smallest" element
 is promised.
 
-Tables serve the multiplicative group only.  A Field with at most
-TABLE_LIMIT elements builds exp/log tables when it is made, so
-multiplication, division, inversion, powering and discrete logs are table
-lookups for every field small enough to matter at desk scale; larger
-fields compute on polynomial coefficients and take discrete logs by
-baby-step giant-step.  Addition is digit arithmetic in every field: XOR of
-packed ints for p = 2, and for odd p the coefficient add/sub/neg, digit by
-digit mod p, tabled or not.  Fields are interned by (p, m, modulus): two
-calls to make_field with the same data return the same object, and
-elements of distinct Field objects must never be mixed.
+Tables serve the multiplicative group only, and a field builds them
+when a scan asks for them.  A field with at most 257 elements builds its
+exp/log tables when it is made: every entry is one of CPython's shared
+small ints, so they cost under 0.1 ms, and the arithmetic outside any scan
+(a c1 build's GF(q^2), say) needs no call to have them.  A larger field
+computes on polynomial coefficients, and takes discrete logs by baby-step
+giant-step, until Field.tabulate() builds its tables; every loop that walks
+a field's elements calls it first, and it does nothing above TABLE_LIMIT
+elements.  A command that makes a few hundred multiplications in GF(7^6)
+thus never pays for its 117,649-entry tables.  Addition is digit
+arithmetic in every field: XOR of packed ints for p = 2, and for odd p the
+coefficient add/sub/neg, digit by digit mod p, tabled or not.  Fields are
+interned by (p, m, modulus): two calls to make_field with the same data
+return the same object, tables included once built, and elements of
+distinct Field objects must never be mixed.
 
 The field's order decides how a table is stored.  Up to 257 elements it
 is a list: every entry is one of CPython's shared small ints, so a list
@@ -24,12 +29,12 @@ costs no more memory than an array and indexes faster.  Above that it is
 a C array of 4-byte unsigned ints, 8 bytes per element for exp and log
 together, where lists of int objects took about 77.
 
-Every CLI call builds the fields it needs from scratch, so table building
-is part of what each process pays before its answer.  The exp table is
-built by stepping with precomputed half products (for p = 2, by blocks of
-XORed half lookups, see _power_table).  A prime power q is split by
-integer roots and a Miller-Rabin test that is exact below 3.3e24, so no q
-below that bound costs a trial division.
+Every CLI call builds the fields it needs from scratch, so building the
+tables it asks for is part of what each process pays before its answer.
+The exp table is built by stepping with precomputed half products (for
+p = 2, by blocks of XORed half lookups, see _power_table).  A prime power
+q is split by integer roots and a Miller-Rabin test that is exact below
+3.3e24, so no q below that bound costs a trial division.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ from functools import lru_cache
 
 from . import poly
 
-# build exp/log tables (multiplicative group) up to this size; every entry is
-# below it, so it fits the 4-byte arrays that fields above 257 elements use
+# Field.tabulate builds exp/log tables (multiplicative group) up to this size,
+# and a field of at most min(257, TABLE_LIMIT) elements has them from the
+# start; every entry is below it, so it fits the 4-byte arrays that fields
+# above 257 elements use
 TABLE_LIMIT = 1 << 20
 
 
@@ -183,11 +190,13 @@ class Field:
     make_field so instances are interned.
 
     The methods below compute on polynomial coefficients and need no tables.
-    A field with at most TABLE_LIMIT elements builds its tables once, at
-    construction, and shadows the multiplicative methods (mul, div, inv,
-    pow, dlog, exp_gen) with table lookups bound as instance attributes.
-    Addition is never tabled: p = 2 binds XOR at construction, and odd p
-    keeps the coefficient add/sub/neg below.
+    tabulate() builds the tables once and shadows the multiplicative
+    methods (mul, div, inv, pow, dlog, exp_gen) with table lookups bound as
+    instance attributes; a field of at most 257 elements calls it at
+    construction, a larger one only when a scan asks (see the module
+    docstring), and has_tables says which.  Addition is never tabled: p = 2
+    binds XOR at construction, and odd p keeps the coefficient add/sub/neg
+    below.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -205,9 +214,19 @@ class Field:
         cofactors = [n // f for f in _factorize(n)]
         self._gen = next(x for x in range(1, self.order)
                          if all(self.pow(x, c) != 1 for c in cofactors))
-        self.has_tables = self.order <= TABLE_LIMIT
-        if self.has_tables:
+        self.has_tables = False
+        if self.order <= 257:
+            self.tabulate()
+
+    def tabulate(self) -> None:
+        """Build the exp/log tables now, unless the field has them or has
+        more than TABLE_LIMIT elements; idempotent.  Every loop that walks
+        the field's elements calls it first: a scan makes enough
+        multiplications and discrete logs to pay for the tables, and
+        arithmetic outside a scan does not."""
+        if not self.has_tables and self.order <= TABLE_LIMIT:
             self._bind_tables()
+            self.has_tables = True
 
     def _bind_tables(self):
         """Build exp/log tables and bind table lookups for the
@@ -535,11 +554,15 @@ def _embedding_cache(src_key, dst_key) -> Embedding:
     src = _field_cache(*src_key)
     dst = _field_cache(*dst_key)
     # roots of src.modulus lie in the unique subfield of size src.order;
-    # its nonzero part is the index-(dst*/src*) power subgroup
+    # its nonzero part is the index-(dst*/src*) power subgroup, stepped by
+    # one multiplication per element (untabled, exp_gen is a full pow)
     if src.m == 1:
         return Embedding(src, dst, 0 if src.modulus == (0, 1) else dst.neg(src.modulus[0]))
-    idx = (dst.order - 1) // (src.order - 1)
-    candidates = sorted(dst.exp_gen(t * idx) for t in range(src.order - 1))
+    step = dst.exp_gen((dst.order - 1) // (src.order - 1))
+    candidates = [1]
+    for _ in range(src.order - 2):
+        candidates.append(dst.mul(candidates[-1], step))
+    candidates.sort()
     for r in candidates:
         if not poly.evaluate(src.modulus, r, dst):
             return Embedding(src, dst, r)

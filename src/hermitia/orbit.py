@@ -367,6 +367,7 @@ def _torus_cosets(fld: Field):
     if count > _COSET_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|(|F| + 1) = {count} "
                          f"torus cosets > {_COSET_SCAN_LIMIT}")
+    fld.tabulate()
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
         (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F if mul(x, y) != 1),
@@ -450,16 +451,22 @@ def inflate_case1(params: Mat, q: int = 2) -> Mat:
 # twisted congruence solving
 # ---------------------------------------------------------------------------
 
-def _extension_ladder(src: Field, q: int, max_ext: int, search: str):
-    """Yield (GF(q^(2m)), embedding of src) for m = 1..max_ext, skipping the
-    fields above _UNTWIST_FIELD_LIMIT or not containing src.  A caller that
-    finds nothing sees SearchExhausted, naming both bounds and the field
-    orders tried, once the ladder runs out."""
+def _extension_ladder(src: Field, q: int, max_ext: int, search: str,
+                      every: int = 1):
+    """Yield (GF(q^(2m)), embedding of src) for the m = 1..max_ext that
+    `every` divides, skipping the fields above _UNTWIST_FIELD_LIMIT or not
+    containing src.  A field skipped because `every` does not divide m,
+    where the caller has proved the search empty, is not built but counts
+    as tried.  A caller that finds nothing sees SearchExhausted, naming
+    both bounds and the field orders tried, once the ladder runs out."""
     p, n0 = gf.prime_power_split(q)
     tried = []
     for m in range(1, max_ext + 1):
         if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
             continue  # guard before any field gets built
+        if m % every:
+            tried.append(p ** (2 * n0 * m))
+            continue
         fld = gf.gf_ext(q, m)
         emb = gf.make_embedding(src, fld)
         tried.append(fld.order)
@@ -508,6 +515,7 @@ def _solve_three_cycle(fld: Field, values, q: int):
     Scaling (a,b,c) rescales u, so a is normalized to 1 (or 0) and c is
     pinned by the norm condition, leaving a linear scan in b.
     """
+    fld.tabulate()
     f = fld
     for a in (1, 0):
         na = f.pow(a, q + 1)
@@ -556,14 +564,25 @@ def _cycle_diagonal(f: Field, values, u: int, q: int):
 def _untwist(M: Mat, q: int, max_ext: int):
     """G with t(G) G^(q) = M.  Hermitian matrices split over GF(q^2); the
     case-shaped monomial targets go through the cycle machinery over
-    increasing extensions."""
+    increasing extensions GF(q^(2m)), skipping every m that 3 does not
+    divide when M has a 3-cycle.
+
+    Lemma.  If t(G) G^(q) = C with C over GF(q^2), then G^(q^2) = G K for
+    K = t(C)^(-1) C^(q): conjugating gives t(G^(q)) G^(q^2) = C^(q), and
+    t(G^(q)) = t(C) G^(-1).  K is fixed by x -> x^(q^2), so
+    G^(q^(2m)) = G K^m, and G over GF(q^(2m)) forces K^m = I.  On a 3-cycle
+    block C = V P, V diagonal and P the cyclic shift (t(P) = P^(-1)),
+    K = V^(-1) P V^(q) P = D P^2 with D diagonal, and K^m = D' P^(2m) is the
+    identity only when 3 | m.  So no field GF(q^(2m)) with 3 not dividing m
+    holds a 3-cycle block; those m are counted as tried and never built."""
     if is_hermitian(M, q):
         return hermitian_decompose(M, q)
     cycles = _signed_permutation_cycles(M)
     if cycles is None:
         raise OrbitError("target must be Hermitian or a monomial case shape")
+    every = 3 if any(len(idx) == 3 for idx, _ in cycles) else 1
     for fld, emb in _extension_ladder(M.field, q, max_ext,
-                                      "twisted splitting found"):
+                                      "twisted splitting found", every):
         blocks = {}
         for idx, values in cycles:
             vals = [emb(v) for v in values]

@@ -161,10 +161,6 @@ class CurveSpec:
         return {"q": self.q, "sig": list(self.sig.astuple()),
                 "frame": self.frame.to_json()}
 
-    @classmethod
-    def from_json(cls, obj) -> "CurveSpec":
-        return cls(obj["q"], Signature(*obj["sig"]), Mat.from_json(obj["frame"]))
-
 
 def monomial_point(sig: Signature, field: Field, s: int, t: int):
     """(s^d, s^(d-i) t^i, s^(d-j) t^j, t^d) over the field."""

@@ -21,7 +21,8 @@ A few references have no fast counterpart; no command needs them, so they
 live here rather than in the package: normalize_to_rep, the diagonal
 reparametrization of a c2/c3 core onto the representative over the same
 extension ladder build uses; curve_point, a curve's point at one
-parameter; and scale, a matrix times a scalar.
+parameter; curve_from_json, the inverse of CurveSpec.to_json; and scale, a
+matrix times a scalar.
 """
 
 import itertools
@@ -38,9 +39,10 @@ from hermitia.orbit import (OrbitError, StabilizerReport,
                             _extension_ladder, _solve_linear_congruence, act,
                             canonical_rep, diag_weight, diagonal_solutions,
                             embed_qprime, proportional, stab_order, sympow)
-from hermitia.tetra import (CASE_C2, CASE_C3, Signature, SmoothnessReport,
-                            case_signature, defining_equations, eval_equation,
-                            jacobian_rank, monomial_point, normalize_point)
+from hermitia.tetra import (CASE_C2, CASE_C3, CurveSpec, Signature,
+                            SmoothnessReport, case_signature,
+                            defining_equations, eval_equation, jacobian_rank,
+                            monomial_point, normalize_point)
 
 _GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for the exhaustive PGL2 scan
 
@@ -54,6 +56,7 @@ def _pgl2_elements(fld):
     if fld.order ** 4 > _GL2_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
                          f"> {_GL2_SCAN_LIMIT}")
+    fld.tabulate()
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
         (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
@@ -115,6 +118,7 @@ def _fixing_stars(M, elements) -> list:
 def diagonal_scan_stabilizer(M) -> list:
     """Every diag(r, 1), r in M's field, through the dense act."""
     f = M.field
+    f.tabulate()
     return _fixing_stars(M, (Mat(f, [[r, 0], [0, 1]])
                              for r in range(1, f.order)))
 
@@ -185,8 +189,14 @@ def curve_point(curve, s, t):
     return [x for x, in F.mul(Mat(F.field, [[x] for x in v])).data]
 
 
+def curve_from_json(obj):
+    """The curve of CurveSpec.to_json's document."""
+    return CurveSpec(obj["q"], Signature(*obj["sig"]), Mat.from_json(obj["frame"]))
+
+
 def projective_line(field):
     """All points of P^1 over the field: (1 : t) for every t, then (0 : 1)."""
+    field.tabulate()
     for t in field.elements():
         yield (1, t)
     yield (0, 1)
@@ -255,6 +265,7 @@ def hermitian_decompose_rank_filter(A: Mat, q: int) -> Mat:
                 pivot = v
                 break
         if pivot is None:
+            f.tabulate()
             for a_idx in range(len(basis)):
                 for b_idx in range(a_idx + 1, len(basis)):
                     for c in range(1, f.order):

@@ -1,9 +1,11 @@
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import hermitia
 from hermitia import cli, gf
 from hermitia.cli import main
 from hermitia.matff import Mat
+from hermitia.orbit import stabilizer_search
 from matrices import random_hermitian_invertible
 
 
@@ -327,6 +330,23 @@ def test_exhausted_build_exits_4_naming_the_max_ext_bound():
     assert "m <= 2, field size <= 2^18; field orders tried: [16, 256]" in lines[0]
 
 
+@pytest.mark.parametrize("argv,tried", [
+    (["build", "--q", "16", "--case", "c2", "--fermat"], "[256, 65536]"),
+    (["build", "--q", "9", "--case", "c3", "--fermat"], "[81, 6561]"),
+])
+def test_exhausted_build_names_the_orders_the_three_cycle_rules_out(argv, tried,
+                                                                    capsys):
+    """GF(q^2) and GF(q^4) cannot split the three-cycle (the lemma in
+    orbit._untwist), so neither is scanned, and GF(q^6) is above the
+    field-size bound; the reason still names both orders as tried."""
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "no twisted splitting found within GF(q^(2m)), m <= 6, field size "
+        f"<= 2^18; field orders tried: {tried}\n")
+
+
 def test_cli_imports_only_the_standard_library():
     """hermitia needs nothing outside the standard library.  -S leaves
     site-packages off the path, so importing an installed third-party package
@@ -345,10 +365,9 @@ def test_cli_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    """Each CLI call pays for what `import hermitia.cli` loads; dataclasses
-    alone pulls in inspect, ast, dis and tokenize.  -S keeps site hooks from
-    loading any of them first."""
+def _modules_loaded_by_cli_import():
+    """sys.modules after `python -S -c "import hermitia.cli"`; -S keeps site
+    hooks from loading anything first."""
     src = str(Path(hermitia.__file__).resolve().parent.parent)
     code = ("import sys\n"
             f"sys.path.insert(0, {src!r})\n"
@@ -359,7 +378,22 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "hermitia.cli" in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Each CLI call pays for what `import hermitia.cli` loads; dataclasses
+    alone pulls in inspect, ast, dis and tokenize."""
+    loaded = _modules_loaded_by_cli_import()
     assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded)
+
+
+def test_cli_import_loads_no_array():
+    """Importing the CLI does no module-level work: array is imported only
+    when a field above 257 elements builds its tables, and a command such
+    as reps-q2, whose GF(4) and GF(16) are tabled at construction as lists,
+    never loads it."""
+    assert "array" not in _modules_loaded_by_cli_import()
 
 
 def test_threads_environment_variable_is_ignored():
@@ -472,3 +506,88 @@ def test_out_file(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert {e["case"]: e["count"] for e in doc["cases"]} == {
         "c1": 1890000, "c3": 468000000}
+
+
+# -- what a command computes ------------------------------------------------
+
+@pytest.mark.parametrize("argv,code,p,m,tabled", [
+    (["stabilizer", "--q", "7", "--case", "c3", "--samples", "0"], 2, 7, 6, False),
+    (["build", "--q", "13", "--case", "c1", "--fermat"], 0, 13, 4, False),
+    (["build", "--q", "7", "--case", "c3", "--fermat"], 0, 7, 6, True),
+], ids=["stabilizer_c3_q7", "build_c1_q13", "build_c3_q7"])
+def test_a_large_field_has_tables_only_after_a_scan(argv, code, p, m, tabled,
+                                                     monkeypatch, capsys):
+    """Fields above 257 elements build their tables only when a loop over
+    their elements asks.  The c3 q = 7 stabilizer makes a few hundred
+    multiplications in GF(7^6), and the c1 q = 13 build only checks its
+    smoothness minors in GF(13^4); the c3 q = 7 build scans GF(7^6) for
+    its three-cycle.  Fresh field and embedding caches make the command
+    build every field itself."""
+    for name in ("_field_cache", "_embedding_cache"):
+        monkeypatch.setattr(gf, name, functools.lru_cache(maxsize=None)(
+            getattr(gf, name).__wrapped__))
+    assert main(argv) == code
+    capsys.readouterr()
+    built = gf._field_cache.cache_info().misses
+    fld = gf.make_field(p, m)
+    assert gf._field_cache.cache_info().misses == built  # the command's field
+    assert fld.has_tables == tabled
+
+
+_INT_LISTS = st.lists(st.integers(-2, 2) | st.booleans(), max_size=3)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | _INT_LISTS | _INT_LISTS.map(tuple),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_DOCS)
+def test_json_writer_matches_json_dumps(doc, monkeypatch):
+    """The writer's text is json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for tuples (json writes them as lists), bools inside int lists (True ==
+    1, so [True] must not reuse the text cached for [1]), empty containers,
+    non-ASCII strings and floats.  Three pieces per write make every
+    document span several writes."""
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    parts = []
+    cli._write_json(doc, parts.append)
+    assert "".join(parts) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case,q", [("c2", 8), ("c2", 16), ("c3", 19)])
+def test_json_writer_matches_json_dumps_on_stabilizer_reports(case, q):
+    """The largest reports the CLI writes, 2.3 to 23.8 MB, full of repeated
+    coefficient lists; each write carries a chunk, never a single token."""
+    doc = stabilizer_search(case, q, samples=0).to_json()
+    parts = []
+    cli._write_json(doc, parts.append)
+    text = "".join(parts)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(parts) * 1000 < len(text)
+
+
+def test_json_writer_holds_a_fraction_of_its_output():
+    """json.dumps holds the whole c2 q = 16 report, 23.8 MB, as one string
+    and, with indent set, a list of all its pieces besides.  The writer
+    holds one chunk and the cached text of each distinct int list: under
+    a quarter of the output at its peak."""
+    doc = stabilizer_search("c2", 16, samples=0).to_json()
+    size = 0
+
+    def count(text):
+        nonlocal size
+        size += len(text)
+
+    tracemalloc.start()
+    try:
+        cli._write_json(doc, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 20_000_000
+    assert peak < size / 4, peak / size

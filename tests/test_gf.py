@@ -68,6 +68,7 @@ def test_tables_match_coefficient_fill(p, m):
     """exp and log tables against powers of the generator taken with the
     coefficient multiplication, one step at a time."""
     f = make_field(p, m)
+    f.tabulate()
     g = f.exp_gen(1)
     v = 1
     for i in range(f.order - 1):
@@ -83,6 +84,7 @@ def test_tables_equal_the_stepped_reference(p, m):
     and the log table equal the tables built one coefficient
     multiplication per power."""
     f = make_field(p, m)
+    f.tabulate()
     exp, log = stepped_tables(f)
     assert [f.exp_gen(k) for k in range(f.order - 1)] == exp
     assert [f.dlog(v) for v in range(1, f.order)] == log[1:]
@@ -100,6 +102,7 @@ def test_large_tables_cost_at_most_16_bytes_per_element(p, m):
     tracemalloc.start()
     try:
         f = gf.Field(p, m, modulus)
+        f.tabulate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -117,6 +120,7 @@ def test_odd_addition_acts_digit_by_digit(p, m, tabled, monkeypatch):
     if not tabled:
         monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
     f = gf.Field(p, m, gf.default_modulus(p, m))
+    f.tabulate()
     assert f.has_tables == tabled
     assert (f.add.__func__, f.sub.__func__, f.neg.__func__) == (
         gf.Field.add, gf.Field.sub, gf.Field.neg)
@@ -133,6 +137,7 @@ def test_odd_addition_acts_digit_by_digit(p, m, tabled, monkeypatch):
 @pytest.mark.parametrize("m", [1, 4, 12])
 def test_characteristic_two_adds_by_xor(m):
     f = make_field(2, m)
+    f.tabulate()
     assert f.has_tables
     assert (f.add, f.sub, f.neg) == (operator.xor, operator.xor, operator.pos)
 

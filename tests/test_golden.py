@@ -98,11 +98,13 @@ def test_odd_characteristic_stdout_digest(argv, code, sha256, capsys):
      "7738e7e0b08b4d2b2b4b00db2dc9170217f3bd6c7ce9cf2d639eddecbe874805"),
 ], ids=["classify_q32", "stabilizer_c3_q9", "build_c2_q8_fermat"])
 def test_largest_table_stdout_digest(argv, code, sha256, capsys):
-    """The commands that build the largest tables: GF(2^20), exactly at
-    TABLE_LIMIT, for classify --q 32; GF(3^12) for the c3 q = 9
-    stabilizer; GF(2^18) for the c2 q = 8 build.  Pinned by the digest of
-    stdout as written when every table was a list of ints, so storing
-    them as C arrays must not move a byte."""
+    """The commands that built the largest tables when every field up to
+    TABLE_LIMIT was tabled: GF(2^20), exactly at TABLE_LIMIT, for
+    classify --q 32; GF(3^12) for the c3 q = 9 stabilizer; GF(2^18) for
+    the c2 q = 8 build.  Pinned by the digest of stdout as written when
+    every table was a list of ints, so storing them as C arrays must not
+    move a byte, and neither must leaving the first two untabled: only
+    the build's three-cycle scan still asks for tables."""
     assert main(argv) == code
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == sha256

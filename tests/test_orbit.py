@@ -260,6 +260,21 @@ def test_twisted_solve_rejects_non_hermitian_surface():
         twisted_congruence_solve(bad, case_target(CASE_C1, 3), 3)
 
 
+@pytest.mark.parametrize("case,q", [(CASE_C2, 2), (CASE_C2, 4), (CASE_C2, 8),
+                                    (CASE_C3, 3), (CASE_C3, 5), (CASE_C3, 7)])
+def test_three_cycle_splits_over_no_field_below_q6(case, q):
+    """The lemma in orbit._untwist: a 3-cycle block splits over GF(q^(2m))
+    only when 3 divides m, so the ladder skips m = 1 and 2 without scanning
+    them.  The scan it skips finds nothing over either field."""
+    target = case_target(case, q)
+    (_, values), = [cycle for cycle in orbit._signed_permutation_cycles(target)
+                    if len(cycle[0]) == 3]
+    for m in (1, 2):
+        fld = gf.gf_ext(q, m)
+        emb = gf.make_embedding(target.field, fld)
+        assert orbit._solve_three_cycle(fld, [emb(v) for v in values], q) is None
+
+
 @pytest.mark.parametrize("case,q", [(CASE_C1, 2), (CASE_C1, 3), (CASE_C1, 4),
                                     (CASE_C1, 5), (CASE_C2, 2), (CASE_C2, 4),
                                     (CASE_C3, 3), (CASE_C3, 5)])

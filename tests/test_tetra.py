@@ -14,8 +14,8 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             jacobian_minors, jacobian_rank, minor_gcd,
                             normalize_point, on_surface, smoothness_scan)
 from matrices import random_mat
-from oracles import (curve_point, evaluate_form, projective_line, scale,
-                     smoothness_walk, walk_smoothness)
+from oracles import (curve_from_json, curve_point, evaluate_form,
+                     projective_line, scale, smoothness_walk, walk_smoothness)
 
 
 # -- signatures -----------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_curve_json_roundtrip():
     F = twisted_congruence_solve(surf.gram, case_target(CASE_C1, q), q)
     curve = CurveSpec(q, case_signature(CASE_C1, q), F)
     doc = curve.to_json()
-    back = CurveSpec.from_json(doc)
+    back = curve_from_json(doc)
     assert back.sig == curve.sig and back.frame == curve.frame
 
 
