@@ -110,7 +110,6 @@ def exists_invertible(space: SolutionSpace) -> InvertibleVerdict:
     checked = 0
     q2 = space.field.order
     if dim * (q2 - 1).bit_length() <= _WITNESS_SEARCH_BITS:
-        space.field.tabulate()
         for coeffs in itertools.product(range(q2), repeat=dim):
             checked += 1
             B = space.combination(coeffs)

@@ -7,34 +7,20 @@ field element hashable and orderable for free.  The packed order 0, 1, 2, ...
 is the fixed enumeration order used everywhere a "first" or "smallest" element
 is promised.
 
-Tables serve the multiplicative group only, and a field builds them
-when a scan asks for them.  A field with at most 257 elements builds its
-exp/log tables when it is made: every entry is one of CPython's shared
-small ints, so they cost under 0.1 ms, and the arithmetic outside any scan
-(a c1 build's GF(q^2), say) needs no call to have them.  A larger field
-computes on polynomial coefficients, and takes discrete logs by baby-step
-giant-step, until Field.tabulate() builds its tables; every loop that walks
-a field's elements calls it first, and it does nothing above TABLE_LIMIT
-elements.  A command that makes a few hundred multiplications in GF(7^6)
-thus never pays for its 117,649-entry tables.  Addition is digit
+One rule decides tables.  A field of at most 257 elements steps exp/log
+tables for its multiplicative group when it is made, one coefficient
+multiplication per power, at most 256 of them: every entry is one of
+CPython's shared small ints, so the tables cost under a millisecond and no
+memory per entry.  Every larger field computes on polynomial coefficients
+and takes discrete logs by baby-step giant-step, and no command builds a
+table for it: the one walk over such a field's elements left, the p = 3
+three-cycle scan over GF(3^6), runs untabled.  Addition is digit
 arithmetic in every field: XOR of packed ints for p = 2, and for odd p the
-coefficient add/sub/neg, digit by digit mod p, tabled or not.  Fields are
-interned by (p, m, modulus): two calls to make_field with the same data
-return the same object, tables included once built, and elements of
-distinct Field objects must never be mixed.
-
-The field's order decides how a table is stored.  Up to 257 elements it
-is a list: every entry is one of CPython's shared small ints, so a list
-costs no more memory than an array and indexes faster.  Above that it is
-a C array of 4-byte unsigned ints, 8 bytes per element for exp and log
-together, where lists of int objects took about 77.
-
-Every CLI call builds the fields it needs from scratch, so building the
-tables it asks for is part of what each process pays before its answer.
-The exp table is built by stepping with precomputed half products (for
-p = 2, by blocks of XORed half lookups, see _power_table).  A prime power
-q is split by integer roots and a Miller-Rabin test that is exact below
-3.3e24, so no q below that bound costs a trial division.
+coefficient add/sub/neg, digit by digit mod p.  Fields are interned by
+(p, m, modulus): two calls to make_field with the same data return the
+same object, and elements of distinct Field objects must never be mixed.
+A prime power q is split by integer roots and a Miller-Rabin test that is
+exact below 3.3e24, so no q below that bound costs a trial division.
 """
 
 from __future__ import annotations
@@ -44,13 +30,6 @@ import operator
 from functools import lru_cache
 
 from . import poly
-
-# Field.tabulate builds exp/log tables (multiplicative group) up to this size,
-# and a field of at most min(257, TABLE_LIMIT) elements has them from the
-# start; every entry is below it, so it fits the 4-byte arrays that fields
-# above 257 elements use
-TABLE_LIMIT = 1 << 20
-
 
 class FieldError(ValueError):
     pass
@@ -190,13 +169,11 @@ class Field:
     make_field so instances are interned.
 
     The methods below compute on polynomial coefficients and need no tables.
-    tabulate() builds the tables once and shadows the multiplicative
-    methods (mul, div, inv, pow, dlog, exp_gen) with table lookups bound as
-    instance attributes; a field of at most 257 elements calls it at
-    construction, a larger one only when a scan asks (see the module
-    docstring), and has_tables says which.  Addition is never tabled: p = 2
-    binds XOR at construction, and odd p keeps the coefficient add/sub/neg
-    below.
+    A field of at most 257 elements shadows the multiplicative ones (mul,
+    div, inv, pow, dlog, exp_gen) with table lookups bound as instance
+    attributes at construction (see the module docstring); a larger field
+    keeps them.  Addition is never tabled: p = 2 binds XOR at construction,
+    and odd p keeps the coefficient add/sub/neg below.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -214,30 +191,18 @@ class Field:
         cofactors = [n // f for f in _factorize(n)]
         self._gen = next(x for x in range(1, self.order)
                          if all(self.pow(x, c) != 1 for c in cofactors))
-        self.has_tables = False
         if self.order <= 257:
-            self.tabulate()
-
-    def tabulate(self) -> None:
-        """Build the exp/log tables now, unless the field has them or has
-        more than TABLE_LIMIT elements; idempotent.  Every loop that walks
-        the field's elements calls it first: a scan makes enough
-        multiplications and discrete logs to pay for the tables, and
-        arithmetic outside a scan does not."""
-        if not self.has_tables and self.order <= TABLE_LIMIT:
             self._bind_tables()
-            self.has_tables = True
 
     def _bind_tables(self):
-        """Build exp/log tables and bind table lookups for the
-        multiplicative group over the coefficient methods; addition stays
-        digit arithmetic.  Both tables are lists up to 257 elements and
-        4-byte arrays above (_zero_table), filled in place, so no
-        full-length list of int objects ever exists: about 8 bytes per
-        element instead of 77."""
+        """Step exp[i] = g^i one coefficient multiplication at a time, fill
+        log, and bind table lookups for the multiplicative group over the
+        coefficient methods; addition stays digit arithmetic."""
         n = self.order - 1
-        exp = _power_table(self)  # exp[i] = g^i
-        log = _zero_table(self, self.order)
+        exp = [1]
+        for _ in range(n - 1):
+            exp.append(self.mul(exp[-1], self._gen))
+        log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
 
@@ -408,89 +373,6 @@ class Field:
         nd = n // d
         base = (lw // d) * pow(k // d, -1, nd) % nd
         return sorted(self.exp_gen(base + t * nd) for t in range(d))
-
-
-def _zero_table(field: Field, size: int):
-    """A table of `size` zeros for entries below field.order: a list up to
-    257 elements, above that array("I") (see the module docstring).  Stores
-    into "I" take a faster path than into "i", and array is imported only
-    when a large table is made."""
-    if field.order <= 257:
-        return [0] * size
-    from array import array
-    return array("I", [0]) * size
-
-
-def _power_table(field: Field):
-    """[g^0, g^1, ..., g^(order-2)] for the canonical generator g, in a
-    _zero_table list or array, built without a full-length list.
-
-    For odd p, multiplication by g is GF(p)-linear, so each step splits the
-    packed power into a low half (the m // 2 low digits) and a high half
-    and adds two precomputed products, one per half.  The products are kept
-    spread out, each base-p digit in its own field of `bits` bits, wide
-    enough for a digit sum up to 2p - 2; the sum has no carries, and one
-    lookup per half reduces its digits mod p and packs them again.
-
-    For p = 2 only the first B = 2^(m // 2) powers are stepped, one
-    coefficient multiplication each.  Lemma: over GF(2), addition is XOR of
-    packed ints and multiplication by c is GF(2)-linear, so
-    x c = (x_lo c) XOR (x_hi c) for the low m // 2 bits x_lo of x and the
-    rest x_hi.  Since g^(kB + r) = g^((k-1)B + r) g^B, each later block of B
-    powers is the previous block mapped by x -> x g^B: two half lookups
-    XORed per power, in one short list per block, appended to the table.
-    Odd p keeps the stepper, storing into a preallocated table: a block
-    version measured no faster there."""
-    p, m = field.p, field.m
-    g = field._gen
-    n = field.order - 1
-    low = m // 2
-    plow = p ** low
-    # Field.mul is the coefficient method, whatever the instance has bound
-    if p == 2:
-        block = [1]
-        while len(block) < plow:
-            block.append(Field.mul(field, block[-1], g))
-        g_b = Field.mul(field, block[-1], g)
-        lo_times_gb = [Field.mul(field, x, g_b) for x in range(plow)]
-        hi_times_gb = [Field.mul(field, x << low, g_b)
-                       for x in range(1 << (m - low))]
-        lo_bits = plow - 1
-        exp = _zero_table(field, 0)
-        exp.extend(block)
-        while len(exp) < n:
-            block = [lo_times_gb[v & lo_bits] ^ hi_times_gb[v >> low]
-                     for v in block]
-            exp.extend(block)
-        del exp[n:]
-        return exp
-    bits = (2 * p - 2).bit_length()
-
-    def spread(v):
-        s = shift = 0
-        while v:
-            v, c = divmod(v, p)
-            s |= c << shift
-            shift += bits
-        return s
-
-    lo_times_g = [spread(Field.mul(field, x, g)) for x in range(plow)]
-    hi_times_g = [spread(Field.mul(field, x * plow, g))
-                  for x in range(p ** (m - low))]
-    top = (1 << bits) - 1
-    widest = sum((2 * p - 2) << bits * k for k in range(m - low))
-    pack = [0] * (widest + 1)
-    for s in range(1, len(pack)):
-        pack[s] = (s & top) % p + p * pack[s >> bits]
-    mask = (1 << bits * low) - 1
-    shift = bits * low
-    lo, hi = (1, 0) if low else (0, 1)
-    exp = _zero_table(field, n)
-    for i in range(n):
-        exp[i] = lo + hi * plow
-        s = lo_times_g[lo] + hi_times_g[hi]
-        lo, hi = pack[s & mask], pack[s >> shift]
-    return exp
 
 
 @lru_cache(maxsize=None)

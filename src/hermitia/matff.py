@@ -275,7 +275,6 @@ def _pivot_candidates(f: Field, basis):
     order: each v_k with k, then v_a + c v_b with b."""
     for k, v in enumerate(basis):
         yield v, k
-    f.tabulate()
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             for c in range(1, f.order):

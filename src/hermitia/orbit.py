@@ -25,12 +25,12 @@ from .classify import case1_shape, case23_shape, case_shape_check
 
 INFINITE = "infinite"
 
-_UNTWIST_FIELD_LIMIT = 1 << 18  # largest field scanned by the congruence search
 _COSET_SCAN_LIMIT = 10 ** 5     # most torus cosets an equivalence scan walks
+_THREE_CYCLE_BUDGET = 10 ** 5   # most steps a three-cycle search may estimate
 
 
 class SearchExhausted(RuntimeError):
-    """An existence search ran out of its configured extension budget."""
+    """An existence search ran out of its extension or work budget."""
 
 
 class OrbitError(ValueError):
@@ -367,7 +367,6 @@ def _torus_cosets(fld: Field):
     if count > _COSET_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|(|F| + 1) = {count} "
                          f"torus cosets > {_COSET_SCAN_LIMIT}")
-    fld.tabulate()
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
         (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F if mul(x, y) != 1),
@@ -451,31 +450,6 @@ def inflate_case1(params: Mat, q: int = 2) -> Mat:
 # twisted congruence solving
 # ---------------------------------------------------------------------------
 
-def _extension_ladder(src: Field, q: int, max_ext: int, search: str,
-                      every: int = 1):
-    """Yield (GF(q^(2m)), embedding of src) for the m = 1..max_ext that
-    `every` divides, skipping the fields above _UNTWIST_FIELD_LIMIT or not
-    containing src.  A field skipped because `every` does not divide m,
-    where the caller has proved the search empty, is not built but counts
-    as tried.  A caller that finds nothing sees SearchExhausted, naming
-    both bounds and the field orders tried, once the ladder runs out."""
-    p, n0 = gf.prime_power_split(q)
-    tried = []
-    for m in range(1, max_ext + 1):
-        if p ** (2 * n0 * m) > _UNTWIST_FIELD_LIMIT or (2 * n0 * m) % src.m:
-            continue  # guard before any field gets built
-        if m % every:
-            tried.append(p ** (2 * n0 * m))
-            continue
-        fld = gf.gf_ext(q, m)
-        emb = gf.make_embedding(src, fld)
-        tried.append(fld.order)
-        yield fld, emb
-    raise SearchExhausted(
-        f"no {search} within GF(q^(2m)), m <= {max_ext}, field size <= "
-        f"2^{_UNTWIST_FIELD_LIMIT.bit_length() - 1}; field orders tried: {tried}")
-
-
 def _signed_permutation_cycles(M: Mat):
     """Decompose an invertible monomial matrix into cycles
     [(indices, values)], or None if the support is not a permutation."""
@@ -504,43 +478,117 @@ def _signed_permutation_cycles(M: Mat):
     return cycles
 
 
-def _solve_three_cycle(fld: Field, values, q: int):
+def _solve_three_cycle(f: Field, values, q: int, pairs=None):
     """G block (3x3) with twisted Gram form equal to the cyclic matrix carrying
-    `values` on the cycle cells.
+    `values` on the cycle cells, or None.
 
-    Circulant ansatz c I + a P + b P^2: its twisted Gram form is circulant
-    with coefficients a^(q+1)+b^(q+1)+c^(q+1) on I, ab^q+bc^q+ca^q on P and
-    ba^q+cb^q+ac^q on P^2.  A candidate needs (0, u, 0) with u nonzero; the
-    leftover u and the cycle values are then absorbed by a diagonal factor.
-    Scaling (a,b,c) rescales u, so a is normalized to 1 (or 0) and c is
-    pinned by the norm condition, leaving a linear scan in b.
+    Circulant ansatz G0 = c I + a P + b P^2, P the cyclic shift: its twisted
+    Gram form is circulant with coefficients a^(q+1)+b^(q+1)+c^(q+1) on I,
+    u = ab^q+bc^q+ca^q on P and z = ba^q+cb^q+ac^q on P^2.  A candidate
+    needs (0, u, 0) with u nonzero; the leftover u and the cycle values are
+    then absorbed by a diagonal factor (_cycle_diagonal).  The candidates
+    are the (b, c) of `pairs`, with a = 1, tried in order; by default the
+    scan (_scanned_circulants) for p = 3 and the closed form
+    (_closed_form_circulants) otherwise.
+
+    Lemma (pick).  The scan visits a = 1, b in packed order, then c in
+    packed order, and returns the first candidate passing z = 0, u != 0,
+    _cycle_diagonal and the Gram check.  A candidate with z = 0 and
+    u != 0 has t(G0) G0^(q) = u P, so its eigenvalue l_0 = a + b + c has
+    l_0^(q+1) = u (see _closed_form_circulants), and G0 / l_0 is the one
+    multiple with t(G0) G0^(q) = P.  So the a != 0 members of the closed
+    form's set, divided by a, are exactly the scan's candidates with z = 0
+    and u != 0; sorted by (b, c) and put through the same tests, they give
+    the scan's answer.
+    The scan's other branch, a = 0 and b = 1, has z = c with c^(q+1) = -1,
+    so it never passes: when no a = 1 candidate passes, both return None.
     """
-    fld.tabulate()
-    f = fld
-    for a in (1, 0):
-        na = f.pow(a, q + 1)
-        aq = f.pow(a, q)
-        for b in (f.elements() if a else [1]):
-            w = f.neg(f.add(na, f.pow(b, q + 1)))
-            bq = f.pow(b, q)
-            for c in f.power_roots(w, q + 1):
-                cq = f.pow(c, q)
-                z = f.add(f.add(f.mul(b, aq), f.mul(c, bq)), f.mul(a, cq))
-                if z:
-                    continue
-                u = f.add(f.add(f.mul(a, bq), f.mul(b, cq)), f.mul(c, aq))
-                if not u:
-                    continue
-                deltas = _cycle_diagonal(f, values, u, q)
-                if deltas is None:
-                    continue
-                Gp = Mat(f, [[c, a, b], [b, c, a], [a, b, c]])  # c I + a P + b P^2
-                G = Gp.mul(Mat.diagonal(f, deltas))
-                target = Mat(f, [[0, values[0], 0], [0, 0, values[1]],
-                                 [values[2], 0, 0]])
-                if twisted_gram(G, Mat.identity(f, 3), q) == target:
-                    return G
+    if pairs is None:
+        pairs = (_scanned_circulants if f.p == 3 else _closed_form_circulants)(f, q)
+    target = Mat(f, [[0, values[0], 0], [0, 0, values[1]], [values[2], 0, 0]])
+    for b, c in pairs:
+        bq, cq = f.pow(b, q), f.pow(c, q)
+        if f.add(f.add(b, f.mul(c, bq)), cq):  # z with a = 1
+            continue
+        u = f.add(f.add(bq, f.mul(b, cq)), c)
+        if not u:
+            continue
+        deltas = _cycle_diagonal(f, values, u, q)
+        if deltas is None:
+            continue
+        G = Mat(f, [[c, 1, b], [b, c, 1], [1, b, c]]).mul(Mat.diagonal(f, deltas))
+        if twisted_gram(G, Mat.identity(f, 3), q) == target:
+            return G
     return None
+
+
+def _scanned_circulants(f: Field, q: int):
+    """(b, c) with 1 + b^(q+1) + c^(q+1) = 0, b and then c in packed order:
+    the scan over all of f, one Frobenius power per element."""
+    frob = [f.pow(x, q) for x in f.elements()]
+    fiber = {}
+    for c, cq in enumerate(frob):
+        fiber.setdefault(f.mul(c, cq), []).append(c)
+    for b, bq in enumerate(frob):
+        for c in fiber.get(f.neg(f.add(1, f.mul(b, bq))), ()):
+            yield b, c
+
+
+def _closed_form_circulants(f: Field, q: int):
+    """(b, c) of c I + P + b P^2 for every circulant G0 = c I + a P + b P^2
+    with t(G0) G0^(q) = P and a != 0, sorted; f must hold a cube root of
+    unity, so p != 3.
+
+    G0 has eigenvalue l_k = c + a w^k + b w^(2k) on (1, w^k, w^(2k)), w a
+    primitive cube root of unity; t(G0) has l_(-k) there and G0^(q) has
+    l_(k/q)^q, k/q taken mod 3.  So t(G0) G0^(q) = u P exactly when
+    l_(-k) l_(k/q)^q = u w^k for k = 0, 1, 2, and scaling G0 by 1/l_0 makes
+    l_0 = u = 1.  With w = g^(n/3), g the field's generator and n = |F*|:
+    - q = 2 mod 3: l_1^(q+1) = w^2 and l_2^(q+1) = w, (q+1)^2 pairs;
+    - q = 1 mod 3: l_1^(q^2-1) = w^(-1) and l_2 = w / l_1^q, q^2 - 1 pairs.
+    Each root set is one coset of the (q+1)-th or (q^2-1)-th roots of unity,
+    stepped one multiplication per root from g^e, e from the log n/3 of w.
+    Inverting the DFT, 3 (c, a, b) = sum_k l_k (1, w^(-k), w^(-2k)); the
+    factor 3 cancels in b / a and c / a, and one inversion serves every a."""
+    n = f.order - 1
+    mul, add = f.mul, f.add
+    w = f.exp_gen(n // 3)
+    w2 = mul(w, w)
+
+    def coset(e, k):
+        r, step, out = f.exp_gen(e), f.exp_gen(n // k), []
+        for _ in range(k):
+            out.append(r)
+            r = mul(r, step)
+        return out
+
+    if q % 3 == 2:
+        k = q + 1
+        lams = [(l1, l2) for l1 in coset(2 * n // 3 // k, k)
+                for l2 in coset(n // 3 // k, k)]
+    else:
+        k = q * q - 1
+        e = 2 * n // 3 // k
+        l2, step = f.exp_gen(n // 3 - q * e), f.exp_gen(-q * (n // k))
+        lams = []
+        for l1 in coset(e, k):
+            lams.append((l1, l2))
+            l2 = mul(l2, step)
+    cab = [(add(add(1, l1), l2), add(add(1, mul(w2, l1)), mul(w, l2)),
+            add(add(1, mul(w, l1)), mul(w2, l2))) for l1, l2 in lams]
+    cab = [x for x in cab if x[1]]
+    # batched inversion: prefix products of the a, one inv, then back
+    prefix, acc = [], 1
+    for _, a, _ in cab:
+        prefix.append(acc)
+        acc = mul(acc, a)
+    acc = f.inv(acc)
+    pairs = []
+    for (c, a, b), before in zip(reversed(cab), reversed(prefix)):
+        a_inv = mul(acc, before)
+        acc = mul(acc, a)
+        pairs.append((mul(b, a_inv), mul(c, a_inv)))
+    return sorted(pairs)
 
 
 def _cycle_diagonal(f: Field, values, u: int, q: int):
@@ -562,50 +610,54 @@ def _cycle_diagonal(f: Field, values, u: int, q: int):
 
 
 def _untwist(M: Mat, q: int, max_ext: int):
-    """G with t(G) G^(q) = M.  Hermitian matrices split over GF(q^2); the
-    case-shaped monomial targets go through the cycle machinery over
-    increasing extensions GF(q^(2m)), skipping every m that 3 does not
-    divide when M has a 3-cycle.
+    """G with t(G) G^(q) = M.  A Hermitian M splits over GF(q^2); a
+    monomial M of 1- and 3-cycles with at least one 3-cycle splits over
+    GF(q^6), block by block, or raises SearchExhausted.
 
-    Lemma.  If t(G) G^(q) = C with C over GF(q^2), then G^(q^2) = G K for
-    K = t(C)^(-1) C^(q): conjugating gives t(G^(q)) G^(q^2) = C^(q), and
-    t(G^(q)) = t(C) G^(-1).  K is fixed by x -> x^(q^2), so
-    G^(q^(2m)) = G K^m, and G over GF(q^(2m)) forces K^m = I.  On a 3-cycle
-    block C = V P, V diagonal and P the cyclic shift (t(P) = P^(-1)),
-    K = V^(-1) P V^(q) P = D P^2 with D diagonal, and K^m = D' P^(2m) is the
-    identity only when 3 | m.  So no field GF(q^(2m)) with 3 not dividing m
-    holds a 3-cycle block; those m are counted as tried and never built."""
+    Lemma (3 | m).  If t(G) G^(q) = C with C over GF(q^2), then
+    G^(q^2) = G K for K = t(C)^(-1) C^(q): conjugating gives
+    t(G^(q)) G^(q^2) = C^(q), and t(G^(q)) = t(C) G^(-1).  K is fixed by
+    x -> x^(q^2), so G^(q^(2m)) = G K^m, and G over GF(q^(2m)) forces
+    K^m = I.  On a 3-cycle block C = V P, V diagonal and P the cyclic shift
+    (t(P) = P^(-1)), K = V^(-1) P V^(q) P = D P^2 with D diagonal, and
+    K^m = D' P^(2m) is the identity only when 3 | m.  So GF(q^6) is the
+    least field GF(q^(2m)) that can hold a 3-cycle block, and a max_ext
+    below 3 leaves none.
+
+    Before GF(q^6) is built, the search estimates its work: |F| = q^6
+    steps for the p = 3 scan, about sqrt|F| = q^3 baby steps per discrete
+    log for the closed form, and refuses past _THREE_CYCLE_BUDGET."""
     if is_hermitian(M, q):
         return hermitian_decompose(M, q)
     cycles = _signed_permutation_cycles(M)
-    if cycles is None:
+    lengths = {len(idx) for idx, _ in cycles or ()}
+    if 3 not in lengths or not lengths <= {1, 3}:
         raise OrbitError("target must be Hermitian or a monomial case shape")
-    every = 3 if any(len(idx) == 3 for idx, _ in cycles) else 1
-    for fld, emb in _extension_ladder(M.field, q, max_ext,
-                                      "twisted splitting found", every):
-        blocks = {}
-        for idx, values in cycles:
-            vals = [emb(v) for v in values]
-            if len(idx) == 1:
-                roots = fld.power_roots(vals[0], q + 1)
-                block = Mat(fld, [roots[:1]]) if roots else None
-            elif len(idx) == 3:
-                block = _solve_three_cycle(fld, vals, q)
-            else:
-                raise OrbitError(f"unsupported cycle length {len(idx)}")
-            if block is None:
-                break
-            blocks[tuple(idx)] = block
-        if len(blocks) < len(cycles):
-            continue
-        n = M.rows
-        G = Mat.zeros(fld, n, n)
-        for idx, block in blocks.items():
-            for r, gr in enumerate(idx):
-                for c, gc in enumerate(idx):
-                    G.data[gr][gc] = block.data[r][c]
-        if twisted_gram(G, Mat.identity(fld, n), q) == M.lift_to(fld):
-            return G
+    if max_ext < 3:
+        raise SearchExhausted(f"no twisted splitting within GF(q^(2m)), "
+                              f"m <= {max_ext}: a three-cycle needs 3 | m")
+    steps, unit = (q ** 6, "|F| for the p = 3 scan") if q % 3 == 0 else (
+        q ** 3, "sqrt|F| baby steps per discrete log")
+    if steps > _THREE_CYCLE_BUDGET:
+        raise SearchExhausted(
+            f"three-cycle search over GF({q}^6) refused: about {steps} steps "
+            f"({unit}) > budget {_THREE_CYCLE_BUDGET}")
+    fld = gf.gf_ext(q, 3)
+    emb = gf.make_embedding(M.field, fld)
+    G = Mat.zeros(fld, M.rows, M.rows)
+    for idx, values in cycles:
+        vals = [emb(v) for v in values]
+        if len(idx) == 1:
+            roots = fld.power_roots(vals[0], q + 1)
+            block = Mat(fld, [roots[:1]]) if roots else None
+        else:
+            block = _solve_three_cycle(fld, vals, q)
+        if block is None:
+            raise SearchExhausted(f"no twisted splitting over GF({q}^6)")
+        for r, gr in enumerate(idx):
+            for c, gc in enumerate(idx):
+                G.data[gr][gc] = block.data[r][c]
+    return G
 
 
 def twisted_congruence_solve(A: Mat, Mtarget: Mat, q: int,
@@ -691,7 +743,13 @@ def diagonal_stabilizer(M: BigForm) -> list:
     x^step, step = |F*| / diagonal_fixing_order, so one walk steps that
     generator's star entry by entry until it returns to the identity: the
     group is cyclic by construction, and its order is the walk's length.
-    diag(a, e) acts as diag(a/e, 1) projectively."""
+    diag(a, e) acts as diag(a/e, 1) projectively.
+
+    Lemma (order).  On the representative's support cells (0, i), (i, d),
+    (j, j) and (d, 0) the diag_weight exponents differ by 0 and
+    -i (q^2 - q + 1): -(q^3 + 1) for c2 (i = q + 1) and -(q^3 + 1)/2 for
+    c3 (i = (q + 1)/2).  Both divide q^6 - 1, so over GF(q^6) the order D
+    is q^3 + 1 for c2 and (q^3 + 1)/2 for c3 at every q."""
     f = M.field
     mul = f.mul
     n = f.order - 1

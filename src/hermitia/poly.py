@@ -92,5 +92,4 @@ def roots_in(g, field):
     h = gcd_xn_minus_x(g, field.order, field.p)
     if len(h) == 1:
         return []
-    field.tabulate()
     return [r for r in field.elements() if not evaluate(h, r, field)]

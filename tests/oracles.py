@@ -13,16 +13,17 @@ loop, which builds a solution space for every canonical signature, and the
 walk over every (d, i) that finds the signatures whose exponents collide,
 where the package visits only the points where two collision planes cross,
 are references in the same sense.  So are the field tables built one
-multiplication per power, where the package steps by half products and, in
-characteristic 2, by blocks, and the prime power split by trial division,
-where the package takes integer roots and a Miller-Rabin test.
+multiplication per power, which the package's fields of at most 257
+elements must equal and its larger fields' exp_gen and dlog must agree
+with, and the prime power split by trial division, where the package
+takes integer roots and a Miller-Rabin test.
 
 A few references have no fast counterpart; no command needs them, so they
 live here rather than in the package: normalize_to_rep, the diagonal
-reparametrization of a c2/c3 core onto the representative over the same
-extension ladder build uses; curve_point, a curve's point at one
-parameter; curve_from_json, the inverse of CurveSpec.to_json; and scale, a
-matrix times a scalar.
+reparametrization of a c2/c3 core onto the representative, over a ladder
+of extensions GF(q^(2m)) that build no longer climbs; curve_point, a
+curve's point at one parameter; curve_from_json, the inverse of
+CurveSpec.to_json; and scale, a matrix times a scalar.
 """
 
 import itertools
@@ -35,8 +36,8 @@ from hermitia.classify import (_DIFFERENCES, AdmissibleEntry,
                                match_case_shape, solution_space)
 from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
                             twisted_gram)
-from hermitia.orbit import (OrbitError, StabilizerReport,
-                            _extension_ladder, _solve_linear_congruence, act,
+from hermitia.orbit import (BigForm, OrbitError, SearchExhausted,
+                            StabilizerReport, _solve_linear_congruence, act,
                             canonical_rep, diag_weight, diagonal_solutions,
                             embed_qprime, proportional, stab_order, sympow)
 from hermitia.tetra import (CASE_C2, CASE_C3, CurveSpec, Signature,
@@ -45,6 +46,7 @@ from hermitia.tetra import (CASE_C2, CASE_C3, CurveSpec, Signature,
                             monomial_point, normalize_point)
 
 _GL2_SCAN_LIMIT = 10 ** 9       # |field|^4 guard for the exhaustive PGL2 scan
+_LADDER_FIELD_LIMIT = 1 << 18   # largest field the extension ladder builds
 
 
 def _pgl2_elements(fld):
@@ -56,7 +58,6 @@ def _pgl2_elements(fld):
     if fld.order ** 4 > _GL2_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|^4 = {fld.order ** 4} "
                          f"> {_GL2_SCAN_LIMIT}")
-    fld.tabulate()
     F, mul = fld.elements(), fld.mul
     return itertools.chain(
         (Mat(fld, [[1, b], [c, e]]) for b in F for c in F for e in F
@@ -116,11 +117,12 @@ def _fixing_stars(M, elements) -> list:
 
 
 def diagonal_scan_stabilizer(M) -> list:
-    """Every diag(r, 1), r in M's field, through the dense act."""
-    f = M.field
-    f.tabulate()
-    return _fixing_stars(M, (Mat(f, [[r, 0], [0, 1]])
-                             for r in range(1, f.order)))
+    """Every diag(r, 1), r in M's field, through the dense act, computed
+    over a tabled_copy of the field and returned over M's own."""
+    f = tabled_copy(M.field)
+    stars = _fixing_stars(BigForm(M.case, M.q, M.n, f, M.cells),
+                          (Mat(f, [[r, 0], [0, 1]]) for r in range(1, f.order)))
+    return [Mat(M.field, star.data) for star in stars]
 
 
 def full_small_stabilizer(M) -> list:
@@ -140,6 +142,24 @@ def full_small_report(M) -> dict:
 
 
 # -- normalization to the representative ---------------------------------------
+
+def _extension_ladder(src, q: int, max_ext: int, search: str):
+    """Yield (GF(q^(2m)), embedding of src) for m = 1..max_ext, skipping
+    the fields above _LADDER_FIELD_LIMIT or not containing src.  A caller
+    that finds nothing sees SearchExhausted, naming both bounds and the
+    field orders tried, once the ladder runs out."""
+    p, n0 = gf.prime_power_split(q)
+    tried = []
+    for m in range(1, max_ext + 1):
+        if p ** (2 * n0 * m) > _LADDER_FIELD_LIMIT or (2 * n0 * m) % src.m:
+            continue  # guard before any field gets built
+        fld = gf.gf_ext(q, m)
+        tried.append(fld.order)
+        yield fld, gf.make_embedding(src, fld)
+    raise SearchExhausted(
+        f"no {search} within GF(q^(2m)), m <= {max_ext}, field size <= "
+        f"2^{_LADDER_FIELD_LIMIT.bit_length() - 1}; field orders tried: {tried}")
+
 
 def normalize_to_rep(B4: Mat, case: str, q: int, max_ext: int = 6) -> Mat:
     """Diagonal reparametrization g = diag(l, m) over GF(q^(2m)), m <= max_ext,
@@ -196,7 +216,6 @@ def curve_from_json(obj):
 
 def projective_line(field):
     """All points of P^1 over the field: (1 : t) for every t, then (0 : 1)."""
-    field.tabulate()
     for t in field.elements():
         yield (1, t)
     yield (0, 1)
@@ -219,7 +238,8 @@ def evaluate_form(sig, q, B, s, t):
 def walk_smoothness(eqs, sig, field):
     """(containment_ok, singular) by walking every parameter of P^1 over the
     field: each image point is normalized, checked against every equation,
-    and its Jacobian rank taken."""
+    and its Jacobian rank taken, over a tabled_copy of the field."""
+    field = tabled_copy(field)
     containment_ok = True
     seen = {}
     for s, t in projective_line(field):
@@ -265,7 +285,6 @@ def hermitian_decompose_rank_filter(A: Mat, q: int) -> Mat:
                 pivot = v
                 break
         if pivot is None:
-            f.tabulate()
             for a_idx in range(len(basis)):
                 for b_idx in range(a_idx + 1, len(basis)):
                     for c in range(1, f.order):
@@ -346,6 +365,42 @@ def stepped_tables(field):
     for k, v in enumerate(exp):
         log[v] = k
     return exp, log
+
+
+def tabled_copy(field):
+    """A private, uninterned copy of the field whose mul, div, inv, pow,
+    dlog and exp_gen look up stepped_tables.  The package computes on
+    coefficients above 257 elements; the walks here visit every element of
+    such fields, and the copy keeps them fast with a multiplication
+    independent of the package's.  Elements are the same packed ints."""
+    f = gf.Field(field.p, field.m, field.modulus)
+    exp, log = stepped_tables(field)
+    n = field.order - 1
+
+    def mul(x, y):
+        return exp[(log[x] + log[y]) % n] if x and y else 0
+
+    def inv(x):
+        if not x:
+            raise ZeroDivisionError("zero has no inverse")
+        return exp[-log[x] % n]
+
+    def pow(x, e):
+        if x:
+            return exp[log[x] * e % n]
+        if e < 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return 0 if e else 1
+
+    def dlog(x):
+        if not x:
+            raise ZeroDivisionError("log of zero")
+        return log[x]
+
+    f.mul, f.inv, f.pow, f.dlog = mul, inv, pow, dlog
+    f.div = lambda x, y: mul(x, inv(y))
+    f.exp_gen = lambda e: exp[e % n]
+    return f
 
 
 # -- polynomials over GF(p) ----------------------------------------------------

@@ -308,43 +308,32 @@ def test_random_json_input_ends_in_a_documented_exit(argv, doc, tmp_path):
 
 
 def test_exhausted_build_exits_4_naming_the_field_bound():
-    """Every extension past GF(64^2) exceeds the search's field-size bound,
-    so the ladder tries one field; the reason names both bounds."""
-    proc = run_process(["build", "--q", "64", "--case", "c2", "--fermat"])
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert "m <= 6, field size <= 2^18; field orders tried: [4096]" in lines[0]
+    """A three-cycle search over GF(q^6) estimates its work before the
+    field is built and refuses past its budget: c2 q = 64 at q^3 baby
+    steps per discrete log of the closed form, c3 q = 9 at q^6 steps of
+    the p = 3 scan.  One stderr line names the estimate and the budget."""
+    for q, case, estimate in (
+            (64, "c2", "about 262144 steps (sqrt|F| baby steps per discrete log)"),
+            (9, "c3", "about 531441 steps (|F| for the p = 3 scan)")):
+        proc = run_process(["build", "--q", str(q), "--case", case, "--fermat"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert (f"three-cycle search over GF({q}^6) refused: {estimate} "
+                "> budget 100000") == lines[0]
 
 
 def test_exhausted_build_exits_4_naming_the_max_ext_bound():
-    """The c2 three-cycle needs GF(q^6); --max-ext 2 ends the ladder at
-    GF(q^4), below the field-size bound, and the reason names it."""
+    """The c2 three-cycle needs GF(q^6), m = 3 (the lemma in
+    orbit._untwist); --max-ext 2 leaves no such m, and the reason says so."""
     proc = run_process(["build", "--q", "4", "--case", "c2", "--fermat",
                         "--max-ext", "2"])
     assert proc.returncode == 4
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert "m <= 2, field size <= 2^18; field orders tried: [16, 256]" in lines[0]
-
-
-@pytest.mark.parametrize("argv,tried", [
-    (["build", "--q", "16", "--case", "c2", "--fermat"], "[256, 65536]"),
-    (["build", "--q", "9", "--case", "c3", "--fermat"], "[81, 6561]"),
-])
-def test_exhausted_build_names_the_orders_the_three_cycle_rules_out(argv, tried,
-                                                                    capsys):
-    """GF(q^2) and GF(q^4) cannot split the three-cycle (the lemma in
-    orbit._untwist), so neither is scanned, and GF(q^6) is above the
-    field-size bound; the reason still names both orders as tried."""
-    assert main(argv) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "no twisted splitting found within GF(q^(2m)), m <= 6, field size "
-        f"<= 2^18; field orders tried: {tried}\n")
+    assert "m <= 2: a three-cycle needs 3 | m" in lines[0]
 
 
 def test_cli_imports_only_the_standard_library():
@@ -510,28 +499,35 @@ def test_out_file(tmp_path, capsys):
 
 # -- what a command computes ------------------------------------------------
 
-@pytest.mark.parametrize("argv,code,p,m,tabled", [
-    (["stabilizer", "--q", "7", "--case", "c3", "--samples", "0"], 2, 7, 6, False),
-    (["build", "--q", "13", "--case", "c1", "--fermat"], 0, 13, 4, False),
-    (["build", "--q", "7", "--case", "c3", "--fermat"], 0, 7, 6, True),
-], ids=["stabilizer_c3_q7", "build_c1_q13", "build_c3_q7"])
-def test_a_large_field_has_tables_only_after_a_scan(argv, code, p, m, tabled,
-                                                     monkeypatch, capsys):
-    """Fields above 257 elements build their tables only when a loop over
-    their elements asks.  The c3 q = 7 stabilizer makes a few hundred
-    multiplications in GF(7^6), and the c1 q = 13 build only checks its
-    smoothness minors in GF(13^4); the c3 q = 7 build scans GF(7^6) for
-    its three-cycle.  Fresh field and embedding caches make the command
-    build every field itself."""
-    for name in ("_field_cache", "_embedding_cache"):
-        monkeypatch.setattr(gf, name, functools.lru_cache(maxsize=None)(
-            getattr(gf, name).__wrapped__))
+@pytest.mark.parametrize("argv,code", [
+    (["stabilizer", "--q", "7", "--case", "c3", "--samples", "0"], 2),
+    (["build", "--q", "13", "--case", "c1", "--fermat"], 0),
+    (["build", "--q", "7", "--case", "c3", "--fermat"], 0),
+    (["build", "--q", "8", "--case", "c2", "--fermat"], 0),
+    (["classify", "--q", "17"], 0),
+], ids=["stabilizer_c3_q7", "build_c1_q13", "build_c3_q7", "build_c2_q8",
+        "classify_q17"])
+def test_only_fields_of_at_most_257_elements_have_tables(argv, code,
+                                                         monkeypatch, capsys):
+    """Every field the command builds has table lookups bound exactly when
+    it has at most 257 elements, the three-cycle field GF(q^6) of a c2/c3
+    build included.  Fresh field and embedding caches make the command
+    build every field itself, and each one is recorded."""
+    built = []
+
+    def record(p, m, modulus):
+        built.append(gf.Field(p, m, modulus))
+        return built[-1]
+
+    monkeypatch.setattr(gf, "_field_cache",
+                        functools.lru_cache(maxsize=None)(record))
+    monkeypatch.setattr(gf, "_embedding_cache", functools.lru_cache(
+        maxsize=None)(gf._embedding_cache.__wrapped__))
     assert main(argv) == code
     capsys.readouterr()
-    built = gf._field_cache.cache_info().misses
-    fld = gf.make_field(p, m)
-    assert gf._field_cache.cache_info().misses == built  # the command's field
-    assert fld.has_tables == tabled
+    assert any(f.order > 257 for f in built)
+    for f in built:
+        assert ("mul" in vars(f)) == (f.order <= 257), f
 
 
 _INT_LISTS = st.lists(st.integers(-2, 2) | st.booleans(), max_size=3)

@@ -2,7 +2,6 @@ import itertools
 import operator
 import random
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,16 +62,30 @@ def test_default_modulus_skips_constant_term_zero(monkeypatch):
     assert len(calls) < 1000
 
 
+_MULTIPLICATIVE = ("mul", "div", "inv", "pow", "dlog", "exp_gen")
+
+
+def _has_tables(f) -> bool:
+    """Whether table lookups shadow the field's multiplicative methods."""
+    bound = {name for name in _MULTIPLICATIVE if name in vars(f)}
+    assert bound in (set(), set(_MULTIPLICATIVE)), bound
+    return bool(bound)
+
+
 @pytest.mark.parametrize("p,m", [(3, 6), (5, 6), (7, 4), (13, 4), (2, 12)])
 def test_tables_match_coefficient_fill(p, m):
-    """exp and log tables against powers of the generator taken with the
-    coefficient multiplication, one step at a time."""
+    """A field above 257 elements binds no tables: its multiplicative
+    methods are the coefficient ones, and exp_gen and the baby-step
+    giant-step dlog agree with the generator's powers stepped one
+    coefficient multiplication at a time, at every 997th power and the
+    last."""
     f = make_field(p, m)
-    f.tabulate()
+    assert f.order > 257 and not _has_tables(f)
     g = f.exp_gen(1)
     v = 1
     for i in range(f.order - 1):
-        assert f.exp_gen(i) == v and f.dlog(v) == i
+        if i % 997 == 0 or i == f.order - 2:
+            assert f.exp_gen(i) == v and f.dlog(v) == i
         v = gf.Field.mul(f, v, g)
     assert v == 1
 
@@ -80,48 +93,48 @@ def test_tables_match_coefficient_fill(p, m):
 @pytest.mark.parametrize("p,m", [(2, m) for m in (*range(1, 13), 18)]
                          + [(3, 1), (3, 7), (5, 5), (7, 4), (13, 2)])
 def test_tables_equal_the_stepped_reference(p, m):
-    """The exp table (stepped by half products, or by blocks for p = 2)
-    and the log table equal the tables built one coefficient
-    multiplication per power."""
+    """A field of at most 257 elements has exp and log tables equal to the
+    tables built one coefficient multiplication per power; a larger field
+    has none, and its exp_gen and dlog agree with those tables at 64
+    seeded powers."""
     f = make_field(p, m)
-    f.tabulate()
     exp, log = stepped_tables(f)
-    assert [f.exp_gen(k) for k in range(f.order - 1)] == exp
-    assert [f.dlog(v) for v in range(1, f.order)] == log[1:]
+    assert _has_tables(f) == (f.order <= 257)
+    if f.order <= 257:
+        ks = range(f.order - 1)
+    else:
+        ks = random.Random(f.order).sample(range(f.order - 1), 64)
+    assert [f.exp_gen(k) for k in ks] == [exp[k] for k in ks]
+    assert [f.dlog(exp[k]) for k in ks] == [log[exp[k]] for k in ks]
 
 
 @pytest.mark.parametrize("p,m", [(2, 18), (7, 6)])
 def test_large_tables_cost_at_most_16_bytes_per_element(p, m):
-    """Above 257 elements a table entry is no longer one of CPython's
-    shared small ints, so a list would pay a slot plus an int object, about
-    77 bytes per element for exp and log together.  Stored as 4-byte C
-    arrays, building the field, tables included, peaks at 16 bytes per
-    element or less, and every entry below TABLE_LIMIT fits the array."""
-    assert array("I").itemsize * 8 >= gf.TABLE_LIMIT.bit_length()
+    """Tables for fields above 257 elements once cost 8 bytes per element
+    as 4-byte C arrays, and 77 as lists of ints.  Such a field now builds
+    none: making it binds no lookups and peaks far under 16 bytes per
+    element, under 64 KB in all."""
     modulus = gf.default_modulus(p, m)
     tracemalloc.start()
     try:
         f = gf.Field(p, m, modulus)
-        f.tabulate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.has_tables
-    assert peak <= 16 * f.order, peak / f.order
+    assert not _has_tables(f)
+    assert peak <= 16 * f.order and peak < 1 << 16, peak
 
 
-@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 7), (5, 5), (7, 4),
-                                 (13, 2)])
-def test_odd_addition_acts_digit_by_digit(p, m, tabled, monkeypatch):
-    """Tables serve only the multiplicative group: with them or without,
-    add, sub and neg of an odd-characteristic field are the coefficient
-    methods, acting on the digits of Field.coeffs one at a time mod p."""
-    if not tabled:
-        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+@pytest.mark.parametrize("p,m,tables", [
+    (3, 1, "tabled"), (3, 2, "tabled"), (13, 2, "tabled"),
+    (3, 7, "untabled"), (5, 5, "untabled"), (7, 4, "untabled")])
+def test_odd_addition_acts_digit_by_digit(p, m, tables):
+    """Tables serve only the multiplicative group, and only fields of at
+    most 257 elements have them: with them or without, add, sub and neg
+    of an odd-characteristic field are the coefficient methods, acting on
+    the digits of Field.coeffs one at a time mod p."""
     f = gf.Field(p, m, gf.default_modulus(p, m))
-    f.tabulate()
-    assert f.has_tables == tabled
+    assert _has_tables(f) == (tables == "tabled")
     assert (f.add.__func__, f.sub.__func__, f.neg.__func__) == (
         gf.Field.add, gf.Field.sub, gf.Field.neg)
     xs = random.Random(p ** m).sample(range(f.order), min(f.order, 40))
@@ -136,9 +149,10 @@ def test_odd_addition_acts_digit_by_digit(p, m, tabled, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 4, 12])
 def test_characteristic_two_adds_by_xor(m):
+    """Every field of characteristic 2 adds by XOR, tabled (GF(2), GF(16))
+    or not (GF(4096))."""
     f = make_field(2, m)
-    f.tabulate()
-    assert f.has_tables
+    assert _has_tables(f) == (f.order <= 257)
     assert (f.add, f.sub, f.neg) == (operator.xor, operator.xor, operator.pos)
 
 
@@ -327,15 +341,16 @@ def test_primality_is_exact_past_trial_division_reach():
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 4), (3, 4), (7, 2)])
-def test_untabled_arithmetic_matches_tables(p, m, monkeypatch):
-    """Fields above TABLE_LIMIT use the coefficient arithmetic and the
-    baby-step giant-step dlog; they must agree with the table path on every
-    element."""
+def test_untabled_arithmetic_matches_tables(p, m):
+    """The coefficient methods and the baby-step giant-step dlog, which
+    every field above 257 elements uses, agree with the table lookups of a
+    field of at most 257 elements on every element.  The untabled side is
+    an uninterned copy of the field's state without its lookups."""
     tabled = make_field(p, m)
-    assert tabled.has_tables
-    monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
-    raw = gf.Field(p, m, tabled.modulus)
-    assert not raw.has_tables
+    raw = object.__new__(gf.Field)
+    vars(raw).update((k, v) for k, v in vars(tabled).items()
+                     if k not in _MULTIPLICATIVE)
+    assert _has_tables(tabled) and not _has_tables(raw)
     n = tabled.order - 1
     for f in (tabled, raw):
         assert f.pow(0, 0) == 1

@@ -260,19 +260,103 @@ def test_twisted_solve_rejects_non_hermitian_surface():
         twisted_congruence_solve(bad, case_target(CASE_C1, 3), 3)
 
 
+def _three_cycle_values(case, q, fld):
+    """The values on the case target's 3-cycle, embedded in fld."""
+    target = case_target(case, q)
+    (_, values), = [cycle for cycle in orbit._signed_permutation_cycles(target)
+                    if len(cycle[0]) == 3]
+    emb = gf.make_embedding(target.field, fld)
+    return [emb(v) for v in values]
+
+
 @pytest.mark.parametrize("case,q", [(CASE_C2, 2), (CASE_C2, 4), (CASE_C2, 8),
                                     (CASE_C3, 3), (CASE_C3, 5), (CASE_C3, 7)])
 def test_three_cycle_splits_over_no_field_below_q6(case, q):
     """The lemma in orbit._untwist: a 3-cycle block splits over GF(q^(2m))
-    only when 3 divides m, so the ladder skips m = 1 and 2 without scanning
-    them.  The scan it skips finds nothing over either field."""
-    target = case_target(case, q)
-    (_, values), = [cycle for cycle in orbit._signed_permutation_cycles(target)
-                    if len(cycle[0]) == 3]
+    only when 3 divides m, so build goes straight to GF(q^6).  The
+    exhaustive scan finds nothing over GF(q^2) or GF(q^4)."""
     for m in (1, 2):
         fld = gf.gf_ext(q, m)
-        emb = gf.make_embedding(target.field, fld)
-        assert orbit._solve_three_cycle(fld, [emb(v) for v in values], q) is None
+        values = _three_cycle_values(case, q, fld)
+        assert orbit._solve_three_cycle(
+            fld, values, q, orbit._scanned_circulants(fld, q)) is None
+
+
+def _circulant_coefficients(f, q, b, c):
+    """(z, u), the P^2 and P coefficients of t(G0) G0^(q) for
+    G0 = c I + P + b P^2."""
+    bq, cq = f.pow(b, q), f.pow(c, q)
+    return (f.add(f.add(b, f.mul(c, bq)), cq),
+            f.add(f.add(bq, f.mul(b, cq)), c))
+
+
+def test_untwist_goes_straight_to_gf_q6_and_no_further():
+    """build climbs no ladder: a monomial target with a 3-cycle is split
+    over GF(q^6) or not at all.  A fixed-point value generating GF(9)* has
+    no 4th root in GF(3^6), since 4 does not divide its log 91 k, k odd;
+    a target that is neither Hermitian nor has a 3-cycle is refused."""
+    f9 = gf.gfq2(3)
+    g = f9.exp_gen(1)
+    M = Mat(f9, [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, g, 0], [f9.neg(1), 0, 0, 0]])
+    with pytest.raises(SearchExhausted, match=r"no twisted splitting over GF\(3\^6\)"):
+        twisted_congruence_solve(Mat.identity(f9, 4), M, 3)
+    with pytest.raises(OrbitError, match="Hermitian or a monomial case shape"):
+        twisted_congruence_solve(Mat.identity(f9, 4),
+                                 Mat.diagonal(f9, [g, 1, 1, 1]), 3)
+
+
+@pytest.mark.parametrize("case,q", [(CASE_C2, 2), (CASE_C2, 4), (CASE_C3, 5)])
+def test_closed_form_pick_equals_the_scan(case, q):
+    """The pick lemma in orbit._solve_three_cycle, on every field where the
+    exhaustive scan over GF(q^6) runs in about a second: the closed form
+    enumerates exactly the scan's candidates with z = 0 and u != 0, in
+    the scan's order, and both return the same block."""
+    fld = gf.gf_ext(q, 3)
+    values = _three_cycle_values(case, q, fld)
+    pairs = list(orbit._scanned_circulants(fld, q))
+    frob = [fld.pow(x, q) for x in fld.elements()]
+    add, mul = fld.add, fld.mul
+    assert orbit._closed_form_circulants(fld, q) == [
+        (b, c) for b, c in pairs
+        if add(add(b, mul(c, frob[b])), frob[c]) == 0          # z
+        and add(add(frob[b], mul(b, frob[c])), c)]             # u
+    G = orbit._solve_three_cycle(fld, values, q)
+    assert G is not None
+    assert G == orbit._solve_three_cycle(fld, values, q, pairs)
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8, 11, 13])
+def test_the_other_cube_root_gives_no_candidate(q):
+    """With w = g^(n/3) in the eigenvalues l_k = c + a w^k + b w^(2k), the
+    condition t(G0) G0^(q) = P reads l_(-k) l_(k/q)^q = w^k.  Taking the
+    other cube root on the right, w^(-k), describes t(G0) G0^(q) = P^2
+    instead: every such circulant has u = 0, so none passes, while every
+    closed-form candidate has z = 0 and u != 0."""
+    f = gf.gf_ext(q, 3)
+    n = f.order - 1
+    w = f.exp_gen(n // 3)
+    w2 = f.mul(w, w)
+    if q % 3 == 2:   # l_2^(q+1) = w^2, l_1^(q+1) = w
+        lams = [(l1, l2) for l1 in f.power_roots(w, q + 1)
+                for l2 in f.power_roots(w2, q + 1)]
+    else:            # l_1^(q^2-1) = w, l_2 = w^2 / l_1^q
+        lams = [(l1, f.div(w2, f.pow(l1, q)))
+                for l1 in f.power_roots(w, q * q - 1)]
+    wrong = []
+    for l1, l2 in lams:
+        c = f.add(f.add(1, l1), l2)
+        a = f.add(f.add(1, f.mul(w2, l1)), f.mul(w, l2))
+        b = f.add(f.add(1, f.mul(w, l1)), f.mul(w2, l2))
+        if a:
+            wrong.append((f.div(b, a), f.div(c, a)))
+    assert wrong
+    for b, c in wrong:
+        assert _circulant_coefficients(f, q, b, c)[1] == 0
+    for b, c in orbit._closed_form_circulants(f, q):
+        z, u = _circulant_coefficients(f, q, b, c)
+        assert z == 0 and u != 0
+    values = [1, 1, f.neg(1)]
+    assert orbit._solve_three_cycle(f, values, q, wrong) is None
 
 
 @pytest.mark.parametrize("case,q", [(CASE_C1, 2), (CASE_C1, 3), (CASE_C1, 4),
@@ -706,6 +790,25 @@ def test_diagonal_order_table_without_gf_q6(case, q, order, closed_form):
     M = embed_qprime(canonical_rep(case, q), case, q)
     assert diagonal_fixing_order(M, q ** 6 - 1) == order
     assert stab_order(case, q) == closed_form
+
+
+@pytest.mark.parametrize("case,q", [(CASE_C2, 4), (CASE_C2, 8), (CASE_C3, 3),
+                                    (CASE_C3, 5), (CASE_C3, 7), (CASE_C3, 11)])
+def test_diagonal_order_is_the_support_exponent_gap(case, q):
+    """The lemma in orbit.diagonal_stabilizer, in integers only: on the
+    representative's four support cells the diag_weight exponents differ
+    by 0 and -i (q^2 - q + 1), which is -(q^3 + 1) for c2 (i = q + 1) and
+    -(q^3 + 1)/2 for c3 (i = (q + 1)/2), so D = q^3 + 1 and (q^3 + 1)/2."""
+    sig = case_signature(case, q)
+    d, i, j = sig.d, sig.exponents[1], sig.exponents[2]
+    cells = {(0, i): 1, (i, d): 1, (j, j): 1, (d, 0): 1}
+    M = BigForm(case, q, d + 1, None, cells)
+    a = [diag_weight(u, w, d, q)[0] for u, w in cells]
+    gap = i * (q * q - q + 1)
+    assert {x - a[0] for x in a} == {0, -gap}
+    D = q ** 3 + 1 if case == CASE_C2 else (q ** 3 + 1) // 2
+    assert gap == D and (q ** 6 - 1) % D == 0
+    assert diagonal_fixing_order(M, q ** 6 - 1) == D
 
 
 def test_stabilizer_rejects_c1():
