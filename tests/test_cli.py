@@ -336,6 +336,36 @@ def test_exhausted_build_exits_4_naming_the_max_ext_bound():
     assert "m <= 2: a three-cycle needs 3 | m" in lines[0]
 
 
+# The c2 q = 16 case that stood first here now builds; tests/test_recheck.py
+# re-checks its report.
+@pytest.mark.parametrize("argv,tried", [
+    pytest.param(["build", "--q", "9", "--case", "c3", "--fermat"],
+                 [81, 6561], id="argv1-[81, 6561]"),
+])
+def test_exhausted_build_names_the_orders_the_three_cycle_rules_out(
+        argv, tried, monkeypatch, capsys):
+    """GF(q^2) and GF(q^4) cannot split the three-cycle (the lemma in
+    orbit._untwist), so the search builds neither as an extension: the
+    only field the command builds is the coefficient field GF(q^2).
+    GF(q^6) is refused on its work estimate before it is built, and the
+    reason names that field."""
+    built = []
+
+    def record(p, m, modulus):
+        built.append(gf.Field(p, m, modulus))
+        return built[-1]
+
+    monkeypatch.setattr(gf, "_field_cache",
+                        functools.lru_cache(maxsize=None)(record))
+    monkeypatch.setattr(gf, "_embedding_cache", functools.lru_cache(
+        maxsize=None)(gf._embedding_cache.__wrapped__))
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("three-cycle search over GF(9^6) refused: ")
+    assert [f.order for f in built] == tried[:1]
+
+
 def test_cli_imports_only_the_standard_library():
     """hermitia needs nothing outside the standard library.  -S leaves
     site-packages off the path, so importing an installed third-party package
