@@ -12,7 +12,8 @@ tables for its multiplicative group when it is made, one coefficient
 multiplication per power, at most 256 of them: every entry is one of
 CPython's shared small ints, so the tables cost under a millisecond and no
 memory per entry.  Every larger field computes on polynomial coefficients
-and takes discrete logs by baby-step giant-step, and no command builds a
+(for odd p by Kronecker substitution, one integer product per mul) and
+takes discrete logs by baby-step giant-step, and no command builds a
 table for it: the one walk over such a field's elements left, the p = 3
 three-cycle scan over GF(3^6), runs untabled.  Addition is digit
 arithmetic in every field: XOR of packed ints for p = 2, and for odd p the
@@ -20,7 +21,9 @@ coefficient add/sub/neg, digit by digit mod p.  Fields are interned by
 (p, m, modulus): two calls to make_field with the same data return the
 same object, and elements of distinct Field objects must never be mixed.
 A prime power q is split by integer roots and a Miller-Rabin test that is
-exact below 3.3e24, so no q below that bound costs a trial division.
+exact below 3.3e24, so no q below that bound costs a trial division.  A
+field's group order is factored by trial division within a fixed budget,
+and a field past it is refused with SearchExhausted.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from . import poly
 
 class FieldError(ValueError):
     pass
+
+
+class SearchExhausted(RuntimeError):
+    """An existence search ran out of its extension or work budget."""
 
 
 def _is_integer(c) -> bool:
@@ -108,10 +115,20 @@ def is_prime_power(q: int) -> bool:
         return False
 
 
+_TRIAL_DIVISION_BUDGET = 10 ** 6   # most trial divisors one factorization tries
+
+
 def _factorize(n: int):
+    """The distinct prime factors of n, by trial division.  A factor left
+    above the square of the last of _TRIAL_DIVISION_BUDGET divisors (about
+    4e12) is refused with SearchExhausted, not searched for hours."""
     out = []
-    f = 2
+    f, tried, n0 = 2, 0, n
     while f * f <= n:
+        if tried == _TRIAL_DIVISION_BUDGET:
+            raise SearchExhausted(f"factoring {n0} needs more than "
+                                  f"{_TRIAL_DIVISION_BUDGET} trial divisors")
+        tried += 1
         if n % f == 0:
             out.append(f)
             while n % f == 0:
@@ -150,11 +167,16 @@ def default_modulus(p: int, m: int):
     the constant term at 1."""
     if m == 1:
         return (0, 1)
-    from itertools import product
-    for coeffs in product(range(1, p), *[range(p)] * (m - 1)):
-        cand = coeffs + (1,)
+    # t = c0 p^(m-1) + c1 p^(m-2) + ... + c_{m-1} counts the candidates in
+    # that order, lazily: range(p) is never materialized, however large p is
+    span = p ** (m - 1)
+    for t in range(span, p * span):
+        cand = [0] * m + [1]
+        for k in range(m - 1, 0, -1):
+            t, cand[k] = divmod(t, p)
+        cand[0] = t
         if is_irreducible(cand, p):
-            return cand
+            return tuple(cand)
     raise FieldError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
@@ -185,10 +207,18 @@ class Field:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
             self.add = self.sub = operator.xor
             self.neg = operator.pos  # -x = x; pos returns the int unchanged
+        else:
+            # Kronecker slots: a product coefficient is below m p^2, and a
+            # low slot plus its folded-in high slots below 2 m p^2
+            self._slot = (2 * m * p * p).bit_length()
+            self._fold = self._fold_rows()
         # x generates the multiplicative group iff x^(n/f) != 1 for every
         # prime f dividing n; the first such x in packed order is canonical
         n = self.order - 1
-        cofactors = [n // f for f in _factorize(n)]
+        try:
+            cofactors = [n // f for f in _factorize(n)]
+        except SearchExhausted as exc:
+            raise SearchExhausted(f"{self} refused: {exc}") from None
         self._gen = next(x for x in range(1, self.order)
                          if all(self.pow(x, c) != 1 for c in cofactors))
         if self.order <= 257:
@@ -206,8 +236,14 @@ class Field:
         for i, v in enumerate(exp):
             log[v] = i
 
+        # log2[0] = 2n sends any product with a zero factor past both
+        # copies of exp, into the zero tail: no branch and no modulo
+        exp2 = exp + exp + [0] * (2 * n + 1)
+        log2 = log[:]
+        log2[0] = 2 * n
+
         def mul(x, y):
-            return exp[(log[x] + log[y]) % n] if x and y else 0
+            return exp2[log2[x] + log2[y]]
 
         def div(x, y):
             if not y:
@@ -304,11 +340,39 @@ class Field:
                 if x & top:
                     x ^= mask
             return r
-        rem = poly.mulmod(self.coeffs(x), self.coeffs(y), self.modulus, p)
-        v = 0
-        for c in reversed(rem):
-            v = v * p + c
+        # Kronecker substitution: digits into w-bit slots, one integer
+        # product, the slots of x^(m+k) folded back as x^(m+k) mod f
+        m, w = self.m, self._slot
+        mask = (1 << w) - 1
+        xs = ys = 0
+        for shift in range(0, m * w, w):
+            x, a = divmod(x, p)
+            y, b = divmod(y, p)
+            xs |= a << shift
+            ys |= b << shift
+        prod = xs * ys
+        low, high = prod & ((1 << m * w) - 1), prod >> m * w
+        for row in self._fold:
+            low += (high & mask) % p * row
+            high >>= w
+        v, place = 0, 1
+        for _ in range(m):
+            v += (low & mask) % p * place
+            low >>= w
+            place *= p
         return v
+
+    def _fold_rows(self):
+        """x^(m+k) mod the modulus for k = 0..m-2, each packed into
+        self._slot-bit slots, low coefficient first."""
+        p, m, w = self.p, self.m, self._slot
+        top = [-c % p for c in self.modulus[:m]]  # x^m
+        row, rows = top, []
+        for _ in range(m - 1):
+            rows.append(sum(c << w * i for i, c in enumerate(row)))
+            carry = row[-1]
+            row = [(lo + carry * t) % p for lo, t in zip([0] + row[:-1], top)]
+        return tuple(rows)
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))

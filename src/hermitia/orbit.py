@@ -16,7 +16,7 @@ import itertools
 import math
 
 from . import gf
-from .gf import Field
+from .gf import Field, SearchExhausted
 from .matff import Mat, MatError, SurfaceSpec, hermitian_decompose, is_hermitian, \
     twisted_gram
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, case_signature,
@@ -27,10 +27,6 @@ INFINITE = "infinite"
 
 _COSET_SCAN_LIMIT = 10 ** 5     # most torus cosets an equivalence scan walks
 _THREE_CYCLE_BUDGET = 10 ** 5   # most steps a three-cycle search may estimate
-
-
-class SearchExhausted(RuntimeError):
-    """An existence search ran out of its extension or work budget."""
 
 
 class OrbitError(ValueError):
@@ -254,43 +250,55 @@ def embed_qprime(B4: Mat, case: str, q: int) -> BigForm:
     return BigForm(case, q, n, B4.field, cells)
 
 
-def act(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
-    """t(phi(g)) M phi(g)^(q), computed exactly in the big space.  A caller
-    moving several forms of one degree by g passes phi = sympow(g, d) once;
-    a phi of another size or field is refused, but one built from another g
-    of that size is not detected."""
+def _frobenius_rows(phi: Mat, q: int, rows) -> dict:
+    """{r: row r of phi with every entry raised to the q-th power}."""
+    pow_ = phi.field.pow
+    return {r: [pow_(x, q) for x in phi.data[r]] for r in rows}
+
+
+def act(M: BigForm, g: Mat, phi: Mat = None, phiq: dict = None) -> BigForm:
+    """t(phi(g)) M phi(g)^(q), computed exactly in the big space as two
+    products: Y_r = sum over c of M[r][c] phi^(q)_c for each nonzero row r
+    of M, then out[u] = sum over r of phi[r][u] Y_r, skipping zeros.
+
+    A caller moving several forms of one degree by g passes phi =
+    sympow(g, d) once, and may pass phiq = _frobenius_rows(phi, q, range(n))
+    with it; without phiq the rows M's columns need are raised here.  A phi
+    or phiq of another size, or a phi of another field, is refused, but one
+    built from another g of that size is not detected."""
     if g.field is not M.field:
         raise OrbitError("lift the form and g to a common field first")
-    f = M.field
-    q = M.q
+    f, n = M.field, M.n
     if phi is None:
-        phi = sympow(g, M.n - 1)
-    elif phi.field is not f or phi.rows != M.n or phi.cols != M.n:
-        raise OrbitError(f"phi must be sympow(g, {M.n - 1}) over the form's field")
-    powq = {}
-    for (_, c) in M.cells:
-        if c not in powq:
-            powq[c] = [f.pow(x, q) for x in phi.data[c]]
-    out = {}
+        phi, phiq = sympow(g, n - 1), None
+    elif phi.field is not f or phi.rows != n or phi.cols != n or \
+            (phiq is not None and len(phiq) != n):
+        raise OrbitError(f"phi must be sympow(g, {n - 1}) over the form's field")
+    if phiq is None:
+        phiq = _frobenius_rows(phi, M.q, {c for (_, c) in M.cells})
+    mul, add = f.mul, f.add
+    ys = {}
     for (r, c), v in M.cells.items():
-        phir = phi.data[r]
-        phiqc = powq[c]
-        for u in range(M.n):
-            a = phir[u]
-            if not a:
-                continue
-            av = f.mul(a, v)
-            row_out = out.setdefault(u, [0] * M.n)
-            for w in range(M.n):
-                b = phiqc[w]
-                if b:
-                    row_out[w] = f.add(row_out[w], f.mul(av, b))
+        y = ys.setdefault(r, [0] * n)
+        for w, b in enumerate(phiq[c]):
+            if b:
+                y[w] = add(y[w], mul(v, b))
+    out = {}
+    for r, y in ys.items():
+        y = [(w, b) for w, b in enumerate(y) if b]
+        if not y:
+            continue
+        for u, a in enumerate(phi.data[r]):
+            if a:
+                row = out.setdefault(u, [0] * n)
+                for w, b in y:
+                    row[w] = add(row[w], mul(a, b))
     cells = {}
     for u, row in out.items():
         for w, v in enumerate(row):
             if v:
                 cells[(u, w)] = v
-    return BigForm(M.case, M.q, M.n, f, cells)
+    return BigForm(M.case, M.q, n, f, cells)
 
 
 def proportional(M: BigForm, N: BigForm) -> int | None:
@@ -375,43 +383,56 @@ def _torus_cosets(fld: Field):
 
 
 def pairwise_equivalence(forms, search_field: Field):
-    """Scan GL2 over the search field once, testing every ordered pair of
-    forms; returns {(i, j): witness g or None}.  A None verdict is exhaustive
-    for this field, nothing more.
+    """Scan GL2 over the search field once, testing every pair of forms;
+    returns {(i, j): witness g or None} over all ordered pairs.  A None
+    verdict is exhaustive for this field, nothing more.
 
     Coset lemma: every invertible g is h diag(s, t) for exactly one h of
     _torus_cosets, and act(M, h D) = act(act(M, h), D).  Projectively
     diag(s, t) is diag(s/t, 1), so one act per (h, source) and one
     diagonal_solutions call per target decide the whole torus coset h T:
     |F|(|F| + 1) acts per source instead of |F|(|F|^2 - 1).  Sources of one
-    degree share each h's sympow."""
+    degree and q share each h's sympow and its Frobenius rows.
+
+    Symmetry lemma: act is linear in M, and act(act(M, g), g') =
+    act(M, g g') because sympow is a homomorphism, so act(M_i, g) = c M_j
+    gives act(M_j, g^-1) = c^-1 M_i.  A scalar lambda moves every form by
+    lambda^(d(q+1)), so the adjugate [[e, -b], [-c, a]] of g = [[a, b],
+    [c, e]] serves as g^-1.  Only the pairs i < j are scanned, and a witness
+    g for (i, j) gives its adjugate for (j, i); the last source has no
+    target left.  Both witnesses are checked with a dense act."""
     cosets = _torus_cosets(search_field)
     lifted = [m.lift_to(search_field) for m in forms]
     n = len(lifted)
     verdicts = {(i, j): None for i in range(n) for j in range(n) if i != j}
-    unresolved = set(verdicts)
+    targets = {i: list(range(i + 1, n)) for i in range(n - 1)}
+    neg = search_field.neg
     for h in cosets:
-        if not unresolved:
+        if not targets:
             break
-        by_source = {}
-        for (i, j) in unresolved:
-            by_source.setdefault(i, []).append(j)
-        phis = {}
-        for i, targets in by_source.items():
-            d = lifted[i].n - 1
-            if d not in phis:
-                phis[d] = sympow(h, d)
-            Mh = act(lifted[i], h, phis[d])
-            for j in targets:
+        shared = {}
+        for i, js in list(targets.items()):
+            M = lifted[i]
+            key = (M.n, M.q)
+            if key not in shared:
+                phi = sympow(h, M.n - 1)
+                shared[key] = phi, _frobenius_rows(phi, M.q, range(M.n))
+            Mh = act(M, h, *shared[key])
+            for j in list(js):
                 sol = diagonal_solutions(Mh, lifted[j])
                 if sol is None:
                     continue
                 x = search_field.exp_gen(sol[0])
                 g = h.mul(Mat(search_field, [[x, 0], [0, 1]]))
-                if proportional(act(lifted[i], g), lifted[j]) is None:
+                (a, b), (c, e) = g.data
+                g_inv = Mat(search_field, [[e, neg(b)], [neg(c), a]])
+                if proportional(act(M, g), lifted[j]) is None or \
+                        proportional(act(lifted[j], g_inv), M) is None:
                     raise OrbitError("internal: torus coset witness fails act")
-                verdicts[(i, j)] = g
-                unresolved.discard((i, j))
+                verdicts[(i, j)], verdicts[(j, i)] = g, g_inv
+                js.remove(j)
+            if not js:
+                del targets[i]
     return verdicts
 
 

@@ -2,9 +2,9 @@
 
 A polynomial is a tuple of ints in [0, p), lowest degree first, with no
 trailing zeros; () is the zero polynomial.  The functions accept any
-sequence of ints and return trimmed tuples.  gf builds its moduli and its
-untabled multiplication on them, and tetra finds the singular parameters
-of a curve as the roots of a gcd.
+sequence of ints and return trimmed tuples.  gf builds and tests its
+moduli on them, and tetra finds the singular parameters of a curve as the
+roots of a gcd.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ filter, the schoolbook polynomial product, the per-signature classify
 loop, which builds a solution space for every canonical signature, and the
 walk over every (d, i) that finds the signatures whose exponents collide,
 where the package visits only the points where two collision planes cross,
-are references in the same sense.  So are the field tables built one
-multiplication per power, which the package's fields of at most 257
-elements must equal and its larger fields' exp_gen and dlog must agree
-with, and the prime power split by trial division, where the package
-takes integer roots and a Miller-Rabin test.
+are references in the same sense.  So is the big-form action computed
+one cell at a time, where orbit.act takes two matrix products.  So are
+the field tables built one multiplication per power, which the package's
+fields of at most 257 elements must equal and its larger fields' exp_gen
+and dlog must agree with, and the prime power split by trial division,
+where the package takes integer roots and a Miller-Rabin test.
 
 A few references have no fast counterpart; no command needs them, so they
 live here rather than in the package: normalize_to_rep, the diagonal
@@ -96,6 +97,30 @@ def _group_is_cyclic(elements) -> bool:
         if k == order:
             return True
     return False
+
+
+def act_by_cells(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
+    """t(phi(g)) M phi(g)^(q) one cell of M at a time: each cell (r, c)
+    adds v phi[r][u] phi[c][w]^q to every (u, w), the product orbit.act
+    computes in two stages."""
+    f = M.field
+    phi = phi or sympow(g, M.n - 1)
+    powq = {c: [f.pow(x, M.q) for x in phi.data[c]] for (_, c) in M.cells}
+    out = {}
+    for (r, c), v in M.cells.items():
+        for u in range(M.n):
+            a = phi.data[r][u]
+            if not a:
+                continue
+            av = f.mul(a, v)
+            row_out = out.setdefault(u, [0] * M.n)
+            for w in range(M.n):
+                b = powq[c][w]
+                if b:
+                    row_out[w] = f.add(row_out[w], f.mul(av, b))
+    return BigForm(M.case, M.q, M.n, f,
+                   {(u, w): v for u, row in out.items()
+                    for w, v in enumerate(row) if v})
 
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:

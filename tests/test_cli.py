@@ -78,6 +78,23 @@ def test_count_takes_a_large_prime_q():
     assert json.loads(proc.stdout)["q"] == 10 ** 18 + 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--q", "1000000000000000003"],
+    ["build", "--q", "1000000000000000003", "--case", "c1", "--fermat"],
+    ["stabilizer", "--q", "1000000000000000003", "--case", "c3"],
+])
+def test_a_huge_prime_q_exits_4_naming_the_field_and_budget(argv):
+    """GF(q^2) at q = 10^18 + 3 gets its modulus from the lazy walk; its
+    group order is refused by the trial-division budget in one line."""
+    start = time.perf_counter()
+    proc = run_process(argv, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == (
+        "GF(1000000000000000003^2) refused: factoring "
+        f"{(10 ** 18 + 3) ** 2 - 1} needs more than 1000000 trial divisors\n")
+
+
 def test_classify_q3(capsys):
     code, out = run(["classify", "--q", "3", "--max-d", "12"], capsys)
     assert code == 0

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermitia import gf
+from hermitia import gf, poly
 from hermitia.gf import FieldError, make_field, make_embedding, solve_norm
 from oracles import (_poly_product, prime_power_split_by_trial_division,
                      stepped_tables)
@@ -46,6 +46,44 @@ def test_default_modulus_matches_the_full_walk():
             if p ** m <= 10 ** 7:
                 assert (gf.default_modulus(p, m)
                         == _default_modulus_by_full_walk(p, m)), (p, m)
+
+
+def _default_modulus_by_product_walk(p, m):
+    """The walk default_modulus once made: itertools.product over the
+    non-leading coefficients, constant term from 1, which turns every
+    range into a tuple first."""
+    if m == 1:
+        return (0, 1)
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        if gf.is_irreducible(coeffs + (1,), p):
+            return coeffs + (1,)
+
+
+def test_lazy_modulus_walk_equals_the_product_walk():
+    """The counted walk visits the candidates in the product's order, so it
+    returns the same modulus for every p^m <= 3^7 and every 2^m <= 2^12;
+    over p = 10^18 + 3, where the product walk runs out of memory, it takes
+    x^2 + 1 at once (p = 3 mod 4)."""
+    for p in filter(gf.is_prime, range(2, 2188)):
+        for m in range(1, 13):
+            if p ** m > max(3 ** 7, 2 ** 12 if p == 2 else 0):
+                break
+            assert (gf.default_modulus.__wrapped__(p, m)
+                    == _default_modulus_by_product_walk(p, m)), (p, m)
+    assert gf.default_modulus.__wrapped__(10 ** 18 + 3, 2) == (1, 0, 1)
+
+
+def test_factorize_covers_every_field_below_10_to_the_12():
+    """The 10^6 trial divisors are 2 and the odd numbers up to 1999999:
+    the largest prime below 10^12 and the square of 1999993 are within the
+    budget, the square of the next prime, 2000003, is not."""
+    assert gf._factorize(999999999989) == [999999999989]
+    assert gf._factorize(1999993 ** 2) == [1999993]
+    assert gf._factorize(2 ** 40 - 1) == [3, 5, 11, 17, 31, 41, 61681]
+    with pytest.raises(gf.SearchExhausted,
+                       match="^factoring 4000012000009 needs more than "
+                             "1000000 trial divisors$"):
+        gf._factorize(2000003 ** 2)
 
 
 def test_default_modulus_skips_constant_term_zero(monkeypatch):
@@ -374,6 +412,42 @@ def test_untabled_arithmetic_matches_tables(p, m):
             assert raw.dlog(x) == tabled.dlog(x)
             assert raw.exp_gen(raw.dlog(x)) == x
             assert raw.power_roots(x, 3) == tabled.power_roots(x, 3)
+
+
+def test_table_mul_is_one_lookup_equal_to_coefficient_mul():
+    """A field of at most 257 elements multiplies by one lookup in exp
+    doubled with a zero tail, log[0] sent past both copies: on every pair
+    of every such field, zero factors included, that equals the
+    coefficient mul."""
+    for q in filter(gf.is_prime_power, range(2, 258)):
+        f = make_field(*gf.prime_power_split(q))
+        for x in range(q):
+            assert ([f.mul(x, y) for y in range(q)]
+                    == [gf.Field.mul(f, x, y) for y in range(q)]), (q, x)
+
+
+def _mulmod_packed(f, x, y):
+    """x y in f through poly.mulmod on the coefficient lists."""
+    rem = poly.mulmod(f.coeffs(x), f.coeffs(y), f.modulus, f.p)
+    return f.element(rem)
+
+
+@pytest.mark.parametrize("p,m", [
+    (3, 6), (5, 6), (7, 6), (13, 2), (17, 2), (19, 6), (3, 7), (263, 1),
+    (65537, 1), (10 ** 9 + 7, 1)])
+def test_odd_mul_by_kronecker_substitution_matches_mulmod(p, m):
+    """The coefficient mul of odd characteristic packs digits into slots of
+    one integer, multiplies once and folds the high slots back; it equals
+    the polynomial product mod f on 1,000 seeded pairs and on zero
+    factors, in extension fields and in prime fields above 257 elements."""
+    f = make_field(p, m)
+    rng = random.Random(f.order)
+    top = f.order - 1
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order))
+             for _ in range(1000)]
+    pairs += [(0, 0), (0, top), (top, 0), (top, top), (1, top)]
+    for x, y in pairs:
+        assert gf.Field.mul(f, x, y) == _mulmod_packed(f, x, y), (x, y)
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5)])

@@ -24,9 +24,9 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
                             sympow, twisted_congruence_solve)
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
-from oracles import (_group_is_cyclic, _pgl2_elements, curve_point,
-                     diagonal_scan_stabilizer, full_small_stabilizer,
-                     normalize_to_rep, scale)
+from oracles import (_group_is_cyclic, _pgl2_elements, act_by_cells,
+                     curve_point, diagonal_scan_stabilizer,
+                     full_small_stabilizer, normalize_to_rep, scale)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -407,18 +407,28 @@ def test_lambda_family_inequivalent_over_gf4():
 
 
 def test_pairwise_equivalence_shares_sympow_per_coset_and_degree(monkeypatch):
-    """One sympow per torus coset and source degree, however many sources
-    of that degree: four degree-3 forms and one degree-6 form over GF(16),
-    272 cosets, no witness."""
+    """One sympow and one set of Frobenius rows per torus coset and source
+    degree, however many sources of that degree: one degree-6 form, listed
+    first so that it is a source, and four degree-3 forms over GF(16), 272
+    cosets, no witness.  Only the pairs i < j are scanned, so the last form
+    is no source: four acts per coset, one of them on the sextic."""
     lams = [embed_qprime(inflate_case1(q2_lambda_member(lam)), CASE_C1, 2)
             for lam in range(4)]
     sextic = embed_qprime(case_target(CASE_C2, 2), CASE_C2, 2)
-    degrees, real = [], orbit.sympow
+    degrees, frobenius, acted = [], [], []
+    real_sympow, real_rows, real_act = (orbit.sympow, orbit._frobenius_rows,
+                                        orbit.act)
     monkeypatch.setattr(orbit, "sympow",
-                        lambda g, d: degrees.append(d) or real(g, d))
-    verdicts = pairwise_equivalence(lams + [sextic], gf.make_field(2, 4))
-    assert all(v is None for v in verdicts.values())
+                        lambda g, d: degrees.append(d) or real_sympow(g, d))
+    monkeypatch.setattr(orbit, "_frobenius_rows", lambda phi, q, rows:
+                        frobenius.append(phi.rows) or real_rows(phi, q, rows))
+    monkeypatch.setattr(orbit, "act",
+                        lambda M, *rest: acted.append(M.n) or real_act(M, *rest))
+    verdicts = pairwise_equivalence([sextic] + lams, gf.make_field(2, 4))
+    assert len(verdicts) == 20 and all(v is None for v in verdicts.values())
     assert sorted(degrees) == [3] * 272 + [6] * 272
+    assert sorted(frobenius) == [4] * 272 + [7] * 272
+    assert sorted(acted) == [4] * 3 * 272 + [7] * 272
 
 
 def test_act_refuses_phi_of_another_degree_or_field():
@@ -430,6 +440,36 @@ def test_act_refuses_phi_of_another_degree_or_field():
     other = gf.gf_ext(3, 3)
     with pytest.raises(OrbitError, match="phi must be"):
         act(M, g, sympow(Mat(other, [[1, 1], [0, 1]]), M.n - 1))
+    phi = sympow(g, M.n - 1)
+    with pytest.raises(OrbitError, match="phi must be"):
+        act(M, g, phi, orbit._frobenius_rows(phi, 3, range(M.n - 1)))
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (7, 2), (2, 12), (7, 6)])
+def test_act_equals_the_cell_by_cell_product(p, m):
+    """The two-stage act equals oracles.act_by_cells with and without the
+    phi and the Frobenius rows a scan shares, on sparse and dense random
+    forms moved by diagonal and dense g, over GF(16) and GF(49) (tabled)
+    and GF(2^12) and GF(7^6) (untabled)."""
+    fld = gf.make_field(p, m)
+    q = p ** (m // 2)
+    n = 5
+    rng = random.Random(fld.order)
+    grid = [(u, w) for u in range(n) for w in range(n)]
+    for k in range(8):
+        cells = grid if k % 4 == 3 else rng.sample(grid, rng.randrange(1, 9))
+        M = BigForm(CASE_C1, q, n, fld,
+                    {rc: rng.randrange(1, fld.order) for rc in cells})
+        if k % 2:
+            g = _invertible(fld, rng)
+        else:
+            g = Mat.diagonal(fld, [rng.randrange(1, fld.order),
+                                   rng.randrange(1, fld.order)])
+        phi = sympow(g, n - 1)
+        want = act_by_cells(M, g).cells
+        assert act(M, g).cells == want
+        assert act(M, g, phi).cells == want
+        assert act(M, g, phi, orbit._frobenius_rows(phi, q, range(n))).cells == want
 
 
 def test_cube_root_witness_over_gf64():
@@ -624,6 +664,25 @@ def test_pairwise_equivalence_matches_gl2_scan_planted_nondiagonal(case, q, fld)
     while g.data[0][1] == 0 and g.data[1][0] == 0:
         g = _invertible(fld, rng)
     _assert_scan_matches_gl2([M, act(M, g)], fld)
+
+
+def test_unordered_scan_matches_gl2_scan_with_partners_on_both_sides():
+    """Scanning only i < j and taking (j, i) from the adjugate gives the
+    ordered pairs of the full GL2 walk: lambda-0 sits at index 2 between two
+    planted images of it, one before it and one after, among two forms of
+    other classes; every witness of either direction passes proportional."""
+    f4 = gf.gfq2(2)
+    params = q2_parameter_matrices()
+    M = embed_qprime(inflate_case1(q2_lambda_member(0)), CASE_C1, 2)
+    rng = random.Random(7)
+    forms = [act(M, _invertible(f4, rng)),
+             embed_qprime(inflate_case1(params[0]), CASE_C1, 2), M,
+             act(M, _invertible(f4, rng)),
+             embed_qprime(inflate_case1(params[1]), CASE_C1, 2)]
+    _assert_scan_matches_gl2(forms, f4)
+    verdicts = pairwise_equivalence(forms, f4)
+    assert {k for k, g in verdicts.items() if g is not None} == \
+        {(i, j) for i in (0, 2, 3) for j in (0, 2, 3) if i != j}
 
 
 @pytest.mark.parametrize("m,order", [(1, 16), (2, 720)])
