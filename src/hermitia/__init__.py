@@ -3,7 +3,7 @@ Hermitian surfaces: verification, classification, construction and counting.
 """
 
 from .gf import Field, Embedding, make_field, gfq2, gf_ext, make_embedding, \
-    solve_norm, is_prime_power
+    solve_norm
 from .matff import Mat, SurfaceSpec, fermat_surface, hermitian_decompose, \
     is_hermitian, twisted_gram
 from .tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,

@@ -162,16 +162,11 @@ def case_shape_check(B: Mat, case: str, q: int) -> bool:
     if B.rows != 4 or B.cols != 4:
         return False
     if case == CASE_C1:
-        if any(d[0][0:1] + d[1][0:1]) or d[2][3] or d[3][3]:
+        a11, a12, a13, a21, a22, a23 = d[0][1:] + d[1][1:]
+        if (q >= 3 and (a12 or a22)) or not (a11 or a21) or not (a13 or a23):
             return False
-        for col in range(3):
-            if d[2][col] != f.neg(d[0][col + 1]) or d[3][col] != f.neg(d[1][col + 1]):
-                return False
-        if q >= 3 and (d[0][2] or d[1][2]):
-            return False
-        if (d[0][1], d[1][1]) == (0, 0) or (d[0][3], d[1][3]) == (0, 0):
-            return False
-        return Mat(f, [d[0], d[1]]).rank() == 2
+        return (B == case1_shape(f, a11, a12, a13, a21, a22, a23)
+                and Mat(f, [d[0], d[1]]).rank() == 2)
     if case in (CASE_C2, CASE_C3):
         b1, b2, b3 = d[0][1], d[0][3], d[1][3]
         if b1 == 0 or b3 == 0 or (q >= 3 and b2 != 0):
@@ -319,8 +314,7 @@ def enumerate_admissible(q: int, d_max: int | None = None) -> ClassificationRepo
     Every other signature is counted, not visited: canonical_signature_count
     gives signatures_scanned.  The list does not depend on d_max, and at
     every q tested its largest d is (q + 1)^2, below the default d_max."""
-    if not gf.is_prime_power(q):
-        raise ClassifyError(f"q={q} is not a prime power")
+    gf.prime_power_split(q)
     if d_max is None:
         d_max = (3 * (q + 1) * q + 1) // 2  # past every expected degree
     if d_max < 3:

@@ -202,12 +202,6 @@ def _flatten(doc, prefix=""):
         yield prefix.rstrip("."), doc
 
 
-def _check_prime_power(q: int) -> None:
-    # classify and count leave this to the package, which gives the same reason
-    if not gf.is_prime_power(q):
-        raise InputError(f"q={q} is not a prime power")
-
-
 def cmd_classify(cfg: argparse.Namespace) -> int:
     report = enumerate_admissible(cfg.q, cfg.d_max)
     doc = report.to_json()
@@ -267,8 +261,8 @@ def _load_surface(cfg: argparse.Namespace) -> SurfaceSpec:
 
 
 def cmd_build(cfg: argparse.Namespace) -> int:
-    _check_prime_power(cfg.q)
-    case_signature(cfg.case, cfg.q)  # parity check before reading the surface
+    gf.prime_power_split(cfg.q)  # before the parity check and the surface
+    case_signature(cfg.case, cfg.q)
     surf = _load_surface(cfg)
     curve = build_curve(cfg.case, cfg.q, surf, max_ext=cfg.max_ext)
     scan = smoothness_scan(cfg.case, cfg.q, gf.gf_ext(cfg.q, 2))
@@ -283,7 +277,7 @@ def cmd_build(cfg: argparse.Namespace) -> int:
 
 
 def cmd_stabilizer(cfg: argparse.Namespace) -> int:
-    _check_prime_power(cfg.q)
+    gf.prime_power_split(cfg.q)
     if cfg.q < 3:
         raise InputError(f"stabilizer scans need q >= 3, got q={cfg.q}")
     report = stabilizer_search(cfg.case, cfg.q, samples=cfg.samples)

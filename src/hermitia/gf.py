@@ -20,10 +20,12 @@ arithmetic in every field: XOR of packed ints for p = 2, and for odd p the
 coefficient add/sub/neg, digit by digit mod p.  Fields are interned by
 (p, m, modulus): two calls to make_field with the same data return the
 same object, and elements of distinct Field objects must never be mixed.
-A prime power q is split by integer roots and a Miller-Rabin test that is
-exact below 3.3e24, so no q below that bound costs a trial division.  A
-field's group order is factored by trial division within a fixed budget,
-and a field past it is refused with SearchExhausted.
+prime_power_split is the one rule for whether q is a prime power: integer
+roots and a Miller-Rabin test that is exact below 3.3e24, so no q below
+that bound costs a trial division.  At and above it, and for a field's
+group order, trial division decides within a budget of 10^6 divisors, and
+a number past it (such as the prime 2^89 - 1) is refused with
+SearchExhausted.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class SearchExhausted(RuntimeError):
     """An existence search ran out of its extension or work budget."""
 
 
-def _is_integer(c) -> bool:
+def is_integer(c) -> bool:
     """An int and not a bool: JSON true/false load as bool, an int subclass."""
     return isinstance(c, int) and not isinstance(c, bool)
 
@@ -51,7 +53,8 @@ def is_prime(n: int) -> bool:
     """Exact primality.  Below 3317044064679887385961981 (about 3.3e24),
     Miller-Rabin with the prime bases 2 to 41 decides it: no composite
     there passes all thirteen bases (Sorenson and Webster, Math. Comp. 86,
-    2017).  At and above that bound, trial division decides it."""
+    2017).  At and above that bound, _factorize decides it, within its
+    budget of trial divisors."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
@@ -59,12 +62,7 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return n == b
     if n >= 3317044064679887385961981:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
+        return _factorize(n) == [n]
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -105,14 +103,6 @@ def prime_power_split(q: int):
         if r ** k == q and is_prime(r):
             return r, k
     raise FieldError(f"q={q} is not a prime power")
-
-
-def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_split(q)
-        return True
-    except FieldError:
-        return False
 
 
 _TRIAL_DIVISION_BUDGET = 10 ** 6   # most trial divisors one factorization tries
@@ -287,7 +277,7 @@ class Field:
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
             raise FieldError(f"{len(coeffs)} coefficients for an element of {self}")
-        if not all(_is_integer(c) for c in coeffs):
+        if not all(is_integer(c) for c in coeffs):
             raise FieldError(f"element coefficients {coeffs} are not all integers")
         v = 0
         for c in reversed(coeffs):
@@ -455,7 +445,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     if modulus is None:
         modulus = default_modulus(p, m)
     else:
-        if not all(_is_integer(c) for c in modulus):
+        if not all(is_integer(c) for c in modulus):
             raise FieldError(f"modulus {list(modulus)} has a non-integer coefficient")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -525,13 +515,9 @@ def make_embedding(src: Field, dst: Field) -> Embedding:
 # norm equation
 # ---------------------------------------------------------------------------
 
-def solve_norm(field2: Field, a: int, q: int = None) -> int:
+def solve_norm(field2: Field, a: int, q: int) -> int:
     """Smallest x in GF(q^2) with x^(q+1) = a, for nonzero a in the GF(q)
     subfield.  The norm map onto GF(q) is surjective, so x always exists."""
-    if q is None:
-        if field2.m % 2:
-            raise FieldError("field has no index-2 subfield")
-        q = field2.p ** (field2.m // 2)
     if a == 0:
         raise FieldError("norm equation needs a nonzero target")
     if not field2.in_subfield(a, q):

@@ -152,6 +152,8 @@ class Mat:
     def from_json(cls, obj) -> "Mat":
         field = gf.field_from_json(obj["field"])
         rows, cols = obj["rows"], obj["cols"]
+        if not all(gf.is_integer(n) and n > 0 for n in (rows, cols)):
+            raise MatError(f"shape {rows!r} x {cols!r} is not two positive integers")
         flat = [field.element(c) for c in obj["entries"]]
         if len(flat) != rows * cols:
             raise MatError("entry count does not match shape")

@@ -111,8 +111,7 @@ class CountReport:
 
 
 def count_report(q: int) -> CountReport:
-    if not gf.is_prime_power(q):
-        raise OrbitError(f"q={q} is not a prime power")
+    gf.prime_power_split(q)
     entries = []
     cases = [CASE_C1] + ([CASE_C2] if q % 2 == 0 else [CASE_C3])
     aut = aut_order(q)
@@ -452,17 +451,18 @@ def q2_parameter_matrices():
     return [Mat(fld, r) for r in rows]
 
 
-def q2_lambda_member(lam: int, fld: Field = None) -> Mat:
-    """The lambda-indexed member [[lam, 1, 0], [1, 0, 1]] of the family."""
-    fld = fld or gf.gfq2(2)
-    return Mat(fld, [[lam, 1, 0], [1, 0, 1]])
+def q2_lambda_member(lam: int) -> Mat:
+    """The lambda-indexed member [[lam, 1, 0], [1, 0, 1]] of the family,
+    over GF(4)."""
+    return Mat(gf.gfq2(2), [[lam, 1, 0], [1, 0, 1]])
 
 
-def inflate_case1(params: Mat, q: int = 2) -> Mat:
-    """Blow a 2x3 parameter matrix up to the 4x4 degree-(q+1) shape."""
+def inflate_case1(params: Mat) -> Mat:
+    """Blow a 2x3 parameter matrix over GF(4) up to the 4x4 degree-3 shape
+    of q = 2."""
     (a11, a12, a13), (a21, a22, a23) = params.data
     B = case1_shape(params.field, a11, a12, a13, a21, a22, a23)
-    if not case_shape_check(B, CASE_C1, q):
+    if not case_shape_check(B, CASE_C1, 2):
         raise OrbitError("parameter matrix violates the shape side conditions")
     return B
 
@@ -471,35 +471,7 @@ def inflate_case1(params: Mat, q: int = 2) -> Mat:
 # twisted congruence solving
 # ---------------------------------------------------------------------------
 
-def _signed_permutation_cycles(M: Mat):
-    """Decompose an invertible monomial matrix into cycles
-    [(indices, values)], or None if the support is not a permutation."""
-    n = M.rows
-    col_of = {}
-    for r in range(n):
-        nz = [c for c in range(n) if M.data[r][c]]
-        if len(nz) != 1:
-            return None
-        col_of[r] = nz[0]
-    if len(set(col_of.values())) != n:
-        return None
-    seen = set()
-    cycles = []
-    for start in range(n):
-        if start in seen:
-            continue
-        idx = [start]
-        seen.add(start)
-        cur = col_of[start]
-        while cur != start:
-            idx.append(cur)
-            seen.add(cur)
-            cur = col_of[cur]
-        cycles.append((idx, [M.data[r][col_of[r]] for r in idx]))
-    return cycles
-
-
-def _solve_three_cycle(f: Field, values, q: int, pairs=None):
+def _solve_three_cycle(f: Field, values, q: int, pairs):
     """G block (3x3) with twisted Gram form equal to the cyclic matrix carrying
     `values` on the cycle cells, or None.
 
@@ -508,8 +480,8 @@ def _solve_three_cycle(f: Field, values, q: int, pairs=None):
     u = ab^q+bc^q+ca^q on P and z = ba^q+cb^q+ac^q on P^2.  A candidate
     needs (0, u, 0) with u nonzero; the leftover u and the cycle values are
     then absorbed by a diagonal factor (_cycle_diagonal).  The candidates
-    are the (b, c) of `pairs`, with a = 1, tried in order; by default the
-    scan (_scanned_circulants) for p = 3 and the closed form
+    are the (b, c) of `pairs`, with a = 1, tried in order: _untwist passes
+    the scan (_scanned_circulants) for p = 3 and the closed form
     (_closed_form_circulants) otherwise.
 
     Lemma (pick).  The scan visits a = 1, b in packed order, then c in
@@ -524,8 +496,6 @@ def _solve_three_cycle(f: Field, values, q: int, pairs=None):
     The scan's other branch, a = 0 and b = 1, has z = c with c^(q+1) = -1,
     so it never passes: when no a = 1 candidate passes, both return None.
     """
-    if pairs is None:
-        pairs = (_scanned_circulants if f.p == 3 else _closed_form_circulants)(f, q)
     target = Mat(f, [[0, values[0], 0], [0, 0, values[1]], [values[2], 0, 0]])
     for b, c in pairs:
         bq, cq = f.pow(b, q), f.pow(c, q)
@@ -631,9 +601,11 @@ def _cycle_diagonal(f: Field, values, u: int, q: int):
 
 
 def _untwist(M: Mat, q: int, max_ext: int):
-    """G with t(G) G^(q) = M.  A Hermitian M splits over GF(q^2); a
-    monomial M of 1- and 3-cycles with at least one 3-cycle splits over
-    GF(q^6), block by block, or raises SearchExhausted.
+    """G with t(G) G^(q) = M.  A Hermitian M splits over GF(q^2).  The
+    c2/c3 target is the only other M taken: supported on the three-cycle
+    cells (0, 1), (1, 3), (3, 0) and the fixed cell (2, 2), it splits over
+    GF(q^6) as a 3x3 block on rows and columns (0, 1, 3) and a (q+1)-th
+    root at (2, 2), or raises SearchExhausted.
 
     Lemma (3 | m).  If t(G) G^(q) = C with C over GF(q^2), then
     G^(q^2) = G K for K = t(C)^(-1) C^(q): conjugating gives
@@ -642,17 +614,17 @@ def _untwist(M: Mat, q: int, max_ext: int):
     K^m = I.  On a 3-cycle block C = V P, V diagonal and P the cyclic shift
     (t(P) = P^(-1)), K = V^(-1) P V^(q) P = D P^2 with D diagonal, and
     K^m = D' P^(2m) is the identity only when 3 | m.  So GF(q^6) is the
-    least field GF(q^(2m)) that can hold a 3-cycle block, and a max_ext
-    below 3 leaves none.
+    least field GF(q^(2m)) that can hold the block, and a max_ext below 3
+    leaves none.
 
     Before GF(q^6) is built, the search estimates its work: |F| = q^6
     steps for the p = 3 scan, about sqrt|F| = q^3 baby steps per discrete
     log for the closed form, and refuses past _THREE_CYCLE_BUDGET."""
     if is_hermitian(M, q):
         return hermitian_decompose(M, q)
-    cycles = _signed_permutation_cycles(M)
-    lengths = {len(idx) for idx, _ in cycles or ()}
-    if 3 not in lengths or not lengths <= {1, 3}:
+    cells = ((0, 1), (1, 3), (3, 0), (2, 2))
+    if M.rows != 4 or any(x for r, row in enumerate(M.data)
+                          for c, x in enumerate(row) if (r, c) not in cells):
         raise OrbitError("target must be Hermitian or a monomial case shape")
     if max_ext < 3:
         raise SearchExhausted(f"no twisted splitting within GF(q^(2m)), "
@@ -665,20 +637,14 @@ def _untwist(M: Mat, q: int, max_ext: int):
             f"({unit}) > budget {_THREE_CYCLE_BUDGET}")
     fld = gf.gf_ext(q, 3)
     emb = gf.make_embedding(M.field, fld)
-    G = Mat.zeros(fld, M.rows, M.rows)
-    for idx, values in cycles:
-        vals = [emb(v) for v in values]
-        if len(idx) == 1:
-            roots = fld.power_roots(vals[0], q + 1)
-            block = Mat(fld, [roots[:1]]) if roots else None
-        else:
-            block = _solve_three_cycle(fld, vals, q)
-        if block is None:
-            raise SearchExhausted(f"no twisted splitting over GF({q}^6)")
-        for r, gr in enumerate(idx):
-            for c, gc in enumerate(idx):
-                G.data[gr][gc] = block.data[r][c]
-    return G
+    *values, fixed = (emb(M.data[r][c]) for r, c in cells)
+    roots = fld.power_roots(fixed, q + 1)
+    candidates = _scanned_circulants if fld.p == 3 else _closed_form_circulants
+    block = _solve_three_cycle(fld, values, q, candidates(fld, q)) if roots else None
+    if block is None:
+        raise SearchExhausted(f"no twisted splitting over GF({q}^6)")
+    rows = [row[:2] + [0] + row[2:] for row in block.data]
+    return Mat(fld, rows[:2] + [[0, 0, roots[0], 0]] + rows[2:])
 
 
 def twisted_congruence_solve(A: Mat, Mtarget: Mat, q: int,

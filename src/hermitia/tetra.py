@@ -19,6 +19,7 @@ lexicographically smaller of (i,j) and (d-j, d-i).
 from __future__ import annotations
 
 import math
+import operator
 
 from . import gf, poly
 from .gf import Field
@@ -34,46 +35,32 @@ class SignatureError(ValueError):
     pass
 
 
-class Signature:
-    """The exponents (d, i, j) of a tetranomial curve: immutable, hashable
-    and ordered as the tuple (d, i, j)."""
+class Signature(tuple):
+    """The exponents (d, i, j) of a tetranomial curve: a tuple, so immutable,
+    hashable and ordered as (d, i, j), but equal only to a Signature."""
 
-    def __init__(self, d: int, i: int, j: int):
+    __slots__ = ()
+
+    def __new__(cls, d: int, i: int, j: int):
         if not (1 <= i < j <= d - 1):
             raise SignatureError(f"need 1 <= i < j <= d-1, got {(d, i, j)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+        return super().__new__(cls, (d, i, j))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a Signature")
+    d, i, j = (property(operator.itemgetter(k)) for k in range(3))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a Signature")
+    def __eq__(self, other):
+        return type(other) is Signature and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         return f"Signature(d={self.d}, i={self.i}, j={self.j})"
 
-    def __eq__(self, other):
-        if other.__class__ is not Signature:
-            return NotImplemented
-        return self.astuple() == other.astuple()
-
-    def __lt__(self, other):
-        if other.__class__ is not Signature:
-            return NotImplemented
-        return self.astuple() < other.astuple()
-
-    def __le__(self, other):
-        if other.__class__ is not Signature:
-            return NotImplemented
-        return self.astuple() <= other.astuple()
-
-    def __hash__(self):
-        return hash(self.astuple())
-
     def astuple(self):
-        return (self.d, self.i, self.j)
+        return tuple(self)
 
     def flip(self) -> "Signature":
         return Signature(self.d, self.d - self.j, self.d - self.i)

@@ -24,7 +24,8 @@ live here rather than in the package: normalize_to_rep, the diagonal
 reparametrization of a c2/c3 core onto the representative, over a ladder
 of extensions GF(q^(2m)) that build no longer climbs; curve_point, a
 curve's point at one parameter; curve_from_json, the inverse of
-CurveSpec.to_json; and scale, a matrix times a scalar.
+CurveSpec.to_json; scale, a matrix times a scalar; and is_prime_power,
+gf.prime_power_split as a predicate.
 """
 
 import itertools
@@ -376,6 +377,16 @@ def prime_power_split_by_trial_division(q: int):
             return p, n
         p += 1
     return q, 1  # q itself is prime
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether gf.prime_power_split, the package's one prime-power rule,
+    accepts q."""
+    try:
+        gf.prime_power_split(q)
+        return True
+    except gf.FieldError:
+        return False
 
 
 def stepped_tables(field):

@@ -165,7 +165,7 @@ def test_predicted_signatures():
 
 
 def test_enumerate_validates_inputs():
-    with pytest.raises(ClassifyError):
+    with pytest.raises(gf.FieldError, match="q=6 is not a prime power"):
         enumerate_admissible(6, 10)
     with pytest.raises(ClassifyError):
         enumerate_admissible(3, 2)

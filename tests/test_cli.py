@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hermitia
 from hermitia import cli, gf
@@ -71,6 +71,18 @@ def test_count_rejects_non_prime_power(capsys):
     assert capsys.readouterr().err == "q=6 is not a prime power\n"
 
 
+@pytest.mark.parametrize("q", ["6", "1"])
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["count"], ["build", "--case", "c1", "--fermat"],
+    ["stabilizer", "--case", "c2"],
+])
+def test_a_q_that_is_not_a_prime_power_exits_3_in_every_subcommand(argv, q,
+                                                                   capsys):
+    """gf.prime_power_split is the one rule, checked before any other."""
+    assert exit_code(argv + ["--q", q]) == 3
+    assert capsys.readouterr() == ("", f"q={q} is not a prime power\n")
+
+
 def test_count_takes_a_large_prime_q():
     """10^18 + 3 is prime; its square root is past any trial division."""
     proc = run_process(["count", "--q", "1000000000000000003"], timeout=10)
@@ -93,6 +105,24 @@ def test_a_huge_prime_q_exits_4_naming_the_field_and_budget(argv):
     assert proc.stderr == (
         "GF(1000000000000000003^2) refused: factoring "
         f"{(10 ** 18 + 3) ** 2 - 1} needs more than 1000000 trial divisors\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", str(2 ** 89 - 1)],
+    ["classify", "--q", str(10000000000037 * 10000000001011)],
+    ["build", "--q", str(2 ** 89 - 1), "--case", "c1", "--fermat"],
+    ["stabilizer", "--q", str(10000000000037 * 10000000001011), "--case", "c3"],
+])
+def test_primality_past_the_miller_rabin_bound_exits_4_within_the_budget(argv):
+    """At and above 3.3e24 primality is decided by factoring within the
+    10^6-divisor budget: the prime 2^89 - 1 and a product of two 14-digit
+    primes are refused in one line, not trial-divided for hours."""
+    start = time.perf_counter()
+    proc = run_process(argv, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == (f"factoring {argv[2]} needs more than 1000000 "
+                           "trial divisors\n")
 
 
 def test_classify_q3(capsys):
@@ -310,6 +340,10 @@ _SURFACE_LIKE = st.fixed_dictionaries({
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_JSON_VALUES | _SURFACE_LIKE)
+# a shape that is not two integers is refused before rows * cols is taken
+@example(doc={"field": _GF9, "rows": 2 ** 62, "cols": [0, 0, 0, 0],
+              "entries": []})
+@example(doc={"field": _GF9, "rows": 10 ** 30, "cols": [0], "entries": []})
 def test_random_json_input_ends_in_a_documented_exit(argv, doc, tmp_path):
     """Any JSON value given as an input file ends in 0, 2 or 3, in-process
     and without an exception; a nonzero exit writes one stderr line."""

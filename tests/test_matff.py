@@ -188,3 +188,13 @@ def test_matrix_json_roundtrip():
     doc = M.to_json()
     assert doc["rows"] == 4 and len(doc["entries"]) == 16
     assert Mat.from_json(doc) == M
+
+
+@pytest.mark.parametrize("rows,cols", [(4, True), (4.0, 4), (None, 4),
+                                       (3, 0), (-4, -4), (0, 0)])
+def test_matrix_json_shape_is_two_positive_integers(rows, cols):
+    """rows and cols are checked before rows * cols is taken: with cols = 0
+    or two negatives the entry count alone would let any rows through."""
+    doc = {**fermat_surface(3).gram.to_json(), "rows": rows, "cols": cols}
+    with pytest.raises(MatError, match="is not two positive integers"):
+        Mat.from_json(doc)

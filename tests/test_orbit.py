@@ -261,12 +261,11 @@ def test_twisted_solve_rejects_non_hermitian_surface():
 
 
 def _three_cycle_values(case, q, fld):
-    """The values on the case target's 3-cycle, embedded in fld."""
+    """The values on the case target's three-cycle cells (0, 1), (1, 3) and
+    (3, 0), embedded in fld."""
     target = case_target(case, q)
-    (_, values), = [cycle for cycle in orbit._signed_permutation_cycles(target)
-                    if len(cycle[0]) == 3]
     emb = gf.make_embedding(target.field, fld)
-    return [emb(v) for v in values]
+    return [emb(target.data[r][c]) for r, c in ((0, 1), (1, 3), (3, 0))]
 
 
 @pytest.mark.parametrize("case,q", [(CASE_C2, 2), (CASE_C2, 4), (CASE_C2, 8),
@@ -305,6 +304,16 @@ def test_untwist_goes_straight_to_gf_q6_and_no_further():
                                  Mat.diagonal(f9, [g, 1, 1, 1]), 3)
 
 
+def test_untwist_refuses_a_three_cycle_off_the_case_cells():
+    """Only the c2/c3 support is split: an invertible, non-Hermitian
+    monomial target whose three-cycle is 1 -> 2 -> 3 -> 1, with 0 fixed, is
+    refused although its cycle type is the case target's."""
+    f9 = gf.gfq2(3)
+    M = Mat(f9, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, f9.neg(1), 0, 0]])
+    with pytest.raises(OrbitError, match="Hermitian or a monomial case shape"):
+        twisted_congruence_solve(Mat.identity(f9, 4), M, 3)
+
+
 @pytest.mark.parametrize("case,q", [(CASE_C2, 2), (CASE_C2, 4), (CASE_C3, 5)])
 def test_closed_form_pick_equals_the_scan(case, q):
     """The pick lemma in orbit._solve_three_cycle, on every field where the
@@ -320,7 +329,8 @@ def test_closed_form_pick_equals_the_scan(case, q):
         (b, c) for b, c in pairs
         if add(add(b, mul(c, frob[b])), frob[c]) == 0          # z
         and add(add(frob[b], mul(b, frob[c])), c)]             # u
-    G = orbit._solve_three_cycle(fld, values, q)
+    G = orbit._solve_three_cycle(fld, values, q,
+                                 orbit._closed_form_circulants(fld, q))
     assert G is not None
     assert G == orbit._solve_three_cycle(fld, values, q, pairs)
 

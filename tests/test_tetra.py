@@ -15,7 +15,8 @@ from hermitia.tetra import (CASE_C1, CASE_C2, CASE_C3, CurveSpec, Signature,
                             normalize_point, on_surface, smoothness_scan)
 from matrices import random_mat
 from oracles import (curve_from_json, curve_point, evaluate_form,
-                     projective_line, scale, smoothness_walk, walk_smoothness)
+                     is_prime_power, projective_line, scale, smoothness_walk,
+                     walk_smoothness)
 
 
 # -- signatures -----------------------------------------------------------------
@@ -262,9 +263,9 @@ def test_smoothness_scan_matches_walk(case, q):
 
 
 @pytest.mark.parametrize("case,qs", [
-    (CASE_C1, [q for q in range(2, 28) if gf.is_prime_power(q)]),
+    (CASE_C1, [q for q in range(2, 28) if is_prime_power(q)]),
     (CASE_C2, [2, 4, 8, 16, 32]),
-    (CASE_C3, [q for q in range(3, 28, 2) if gf.is_prime_power(q)]),
+    (CASE_C3, [q for q in range(3, 28, 2) if is_prime_power(q)]),
 ])
 def test_standard_minor_gcd_is_constant(case, qs):
     """Off s = 0 and t = 0 the minors of the standard systems have no
