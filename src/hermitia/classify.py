@@ -29,6 +29,7 @@ from .tetra import (CASE_C1, CASE_C2, CASE_C3, Signature, SignatureError,
 
 _WITNESS_SEARCH_BITS = 24   # exhaustive witness hunt over GF(q^2)^dim up to 2^24 vectors
 _GRID_DIM_LIMIT = 10        # 5^dim grid guard; never hit at desk scale
+_D_MAX_BUDGET = 10 ** 7     # most degrees canonical_signature_count lists
 
 
 class ClassifyError(ValueError):
@@ -313,12 +314,19 @@ def enumerate_admissible(q: int, d_max: int | None = None) -> ClassificationRepo
        canonical point.
     Every other signature is counted, not visited: canonical_signature_count
     gives signatures_scanned.  The list does not depend on d_max, and at
-    every q tested its largest d is (q + 1)^2, below the default d_max."""
+    every q tested its largest d is (q + 1)^2, below the default d_max.
+    The count lists d_max + 1 integers twice, so a d_max past
+    _D_MAX_BUDGET is refused with SearchExhausted before any signature is
+    visited; the default stays within it for every q <= 2581."""
     gf.prime_power_split(q)
     if d_max is None:
         d_max = (3 * (q + 1) * q + 1) // 2  # past every expected degree
     if d_max < 3:
         raise ClassifyError("d_max must be at least 3")
+    if d_max > _D_MAX_BUDGET:
+        gf.gfq2(q)  # a GF(q^2) that cannot be built is refused as such first
+        raise gf.SearchExhausted(f"signature count to d_max = {d_max} refused: "
+                                 f"{d_max} degrees > budget {_D_MAX_BUDGET}")
     expected = expected_cases(q)
     admissible = []
     for sig in collision_signatures(q, d_max):

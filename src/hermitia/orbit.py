@@ -12,6 +12,7 @@ problems are congruences on discrete logs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -364,21 +365,33 @@ def diagonal_fixing_order(M: BigForm, n: int) -> int:
 # equivalence scans
 # ---------------------------------------------------------------------------
 
-def _torus_cosets(fld: Field):
+def _torus_cosets(fld: Field, r: int | None = None):
     """One h per ordered pair of distinct points of P^1 over fld, the images
     of (1 : 0) and (0 : 1): [[1, y], [x, 1]] with xy != 1, [[0, 1], [1, y]],
     and [[1, 1], [x, 0]] with x != 0, |F|(|F| + 1) in all.  Every invertible
-    g is h diag(s, t) for exactly one of them.  Refuses before anything is
-    generated when there are more than _COSET_SCAN_LIMIT of them."""
+    g is h diag(s, t) for exactly one of them.  Given r, the order of a
+    subfield, only the first h in this order of each orbit of x -> x^r,
+    entry by entry, is generated.  Refuses before anything is generated
+    when |F|(|F| + 1) > _COSET_SCAN_LIMIT."""
     count = fld.order * (fld.order + 1)
     if count > _COSET_SCAN_LIMIT:
         raise OrbitError(f"GL2 scan over {fld} refused: |F|(|F| + 1) = {count} "
                          f"torus cosets > {_COSET_SCAN_LIMIT}")
     F, mul = fld.elements(), fld.mul
+    sigma = [fld.pow(v, r or fld.order) for v in F]
+
+    def first(*key):
+        image = tuple(sigma[v] for v in key)
+        while image != key:
+            if image < key:
+                return False
+            image = tuple(sigma[v] for v in image)
+        return True
     return itertools.chain(
-        (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F if mul(x, y) != 1),
-        (Mat(fld, [[0, 1], [1, y]]) for y in F),
-        (Mat(fld, [[1, 1], [x, 0]]) for x in F if x))
+        (Mat(fld, [[1, y], [x, 1]]) for x in F for y in F
+         if mul(x, y) != 1 and first(x, y)),
+        (Mat(fld, [[0, 1], [1, y]]) for y in F if first(y)),
+        (Mat(fld, [[1, 1], [x, 0]]) for x in F if x and first(x)))
 
 
 def pairwise_equivalence(forms, search_field: Field):
@@ -399,13 +412,36 @@ def pairwise_equivalence(forms, search_field: Field):
     lambda^(d(q+1)), so the adjugate [[e, -b], [-c, a]] of g = [[a, b],
     [c, e]] serves as g^-1.  Only the pairs i < j are scanned, and a witness
     g for (i, j) gives its adjugate for (j, i); the last source has no
-    target left.  Both witnesses are checked with a dense act."""
-    cosets = _torus_cosets(search_field)
-    lifted = [m.lift_to(search_field) for m in forms]
+    target left.  Both witnesses are checked with a dense act.
+
+    Descent lemma: sigma: x -> x^r, GF(r) the least subfield holding every
+    cell (the least L | m with v^(p^L) = v for each), fixes every form and
+    commutes with x -> x^q, sympow and act, so act(M_i, g) = c M_j exactly
+    when act(M_i, sigma(g)) = sigma(c) M_j, and sigma permutes the cosets.
+    The first coset holding a witness for a pair is first in its
+    sigma-orbit, or an earlier one would hold one too; only those cosets
+    are scanned, and every verdict and witness is the full scan's.
+
+    Support lemma: diagonal_solutions(Mh, N) is None unless Mh has N's
+    support.  So the cells of act(M, h) outside every target's support,
+    each the sum over M's cells (r, c) of phi[r][u] M[r][c] phi^(q)[c][w],
+    are computed first, and a source with one of them nonzero skips h
+    without the full act."""
+    f = search_field
+    lifted = [m.lift_to(f) for m in forms]
+    values = {v for M in lifted for v in M.cells.values()}
+    r = next(f.p ** k for k in range(1, f.m + 1) if f.m % k == 0 and
+             all(f.pow(v, f.p ** k) == v for v in values))
+    cosets = _torus_cosets(f, r)
     n = len(lifted)
     verdicts = {(i, j): None for i in range(n) for j in range(n) if i != j}
     targets = {i: list(range(i + 1, n)) for i in range(n - 1)}
-    neg = search_field.neg
+    outside = {}
+    for i, js in targets.items():
+        covered = set().union(*(lifted[j].cells for j in js))
+        outside[i] = [(u, w) for u in range(lifted[i].n)
+                      for w in range(lifted[i].n) if (u, w) not in covered]
+    neg, mul, add = f.neg, f.mul, f.add
     for h in cosets:
         if not targets:
             break
@@ -416,15 +452,20 @@ def pairwise_equivalence(forms, search_field: Field):
             if key not in shared:
                 phi = sympow(h, M.n - 1)
                 shared[key] = phi, _frobenius_rows(phi, M.q, range(M.n))
-            Mh = act(M, h, *shared[key])
+            phi, phiq = shared[key]
+            if any(functools.reduce(add, (mul(mul(phi.data[s][u], v), phiq[c][w])
+                                          for (s, c), v in M.cells.items()), 0)
+                   for u, w in outside[i]):
+                continue
+            Mh = act(M, h, phi, phiq)
             for j in list(js):
                 sol = diagonal_solutions(Mh, lifted[j])
                 if sol is None:
                     continue
-                x = search_field.exp_gen(sol[0])
-                g = h.mul(Mat(search_field, [[x, 0], [0, 1]]))
+                x = f.exp_gen(sol[0])
+                g = h.mul(Mat(f, [[x, 0], [0, 1]]))
                 (a, b), (c, e) = g.data
-                g_inv = Mat(search_field, [[e, neg(b)], [neg(c), a]])
+                g_inv = Mat(f, [[e, neg(b)], [neg(c), a]])
                 if proportional(act(M, g), lifted[j]) is None or \
                         proportional(act(lifted[j], g_inv), M) is None:
                     raise OrbitError("internal: torus coset witness fails act")

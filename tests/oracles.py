@@ -13,7 +13,10 @@ loop, which builds a solution space for every canonical signature, and the
 walk over every (d, i) that finds the signatures whose exponents collide,
 where the package visits only the points where two collision planes cross,
 are references in the same sense.  So is the big-form action computed
-one cell at a time, where orbit.act takes two matrix products.  So are
+one cell at a time, where orbit.act takes two matrix products, and the
+equivalence scan over every torus coset with a full act per source, where
+the package scans one coset per Frobenius orbit and rules most sources out
+by one cell that must vanish.  So are
 the field tables built one multiplication per power, which the package's
 fields of at most 257 elements must equal and its larger fields' exp_gen
 and dlog must agree with, and the prime power split by trial division,
@@ -39,7 +42,8 @@ from hermitia.classify import (_DIFFERENCES, AdmissibleEntry,
 from hermitia.matff import (Mat, MatError, _form_value, is_hermitian,
                             twisted_gram)
 from hermitia.orbit import (BigForm, OrbitError, SearchExhausted,
-                            StabilizerReport, _solve_linear_congruence, act,
+                            StabilizerReport, _frobenius_rows,
+                            _solve_linear_congruence, _torus_cosets, act,
                             canonical_rep, diag_weight, diagonal_solutions,
                             embed_qprime, proportional, stab_order, sympow)
 from hermitia.tetra import (CASE_C2, CASE_C3, CurveSpec, Signature,
@@ -122,6 +126,41 @@ def act_by_cells(M: BigForm, g: Mat, phi: Mat = None) -> BigForm:
     return BigForm(M.case, M.q, M.n, f,
                    {(u, w): v for u, row in out.items()
                     for w, v in enumerate(row) if v})
+
+
+def all_cosets_equivalence(forms, search_field):
+    """orbit.pairwise_equivalence without its descent and support lemmas:
+    every torus coset is scanned, and every source with a target left gets
+    the full act on each of them."""
+    lifted = [m.lift_to(search_field) for m in forms]
+    n = len(lifted)
+    verdicts = {(i, j): None for i in range(n) for j in range(n) if i != j}
+    targets = {i: list(range(i + 1, n)) for i in range(n - 1)}
+    neg = search_field.neg
+    for h in _torus_cosets(search_field):
+        if not targets:
+            break
+        shared = {}
+        for i, js in list(targets.items()):
+            M = lifted[i]
+            key = (M.n, M.q)
+            if key not in shared:
+                phi = sympow(h, M.n - 1)
+                shared[key] = phi, _frobenius_rows(phi, M.q, range(M.n))
+            Mh = act(M, h, *shared[key])
+            for j in list(js):
+                sol = diagonal_solutions(Mh, lifted[j])
+                if sol is None:
+                    continue
+                x = search_field.exp_gen(sol[0])
+                g = h.mul(Mat(search_field, [[x, 0], [0, 1]]))
+                (a, b), (c, e) = g.data
+                verdicts[(i, j)] = g
+                verdicts[(j, i)] = Mat(search_field, [[e, neg(b)], [neg(c), a]])
+                js.remove(j)
+            if not js:
+                del targets[i]
+    return verdicts
 
 
 def star_of_phi(g: Mat, case: str, q: int) -> Mat:

@@ -159,6 +159,20 @@ def test_enumerate_admissible_monotone_in_d_max():
     assert small <= large
 
 
+def test_the_default_d_max_stays_within_the_budget_up_to_q_2581():
+    """The default d_max, (3q(q + 1) + 1)/2, is 6,294,528 at q = 2048,
+    9,996,213 at q = 2581 and 10,003,959 at q = 2582: every q <= 2581
+    keeps the default report, and d_max = 10^7 itself is still counted."""
+    def default(q):
+        return (3 * (q + 1) * q + 1) // 2
+    assert enumerate_admissible(3).d_max == default(3)
+    assert default(2048) == 6294528
+    assert default(2581) == 9996213 <= classify._D_MAX_BUDGET == 10 ** 7
+    assert default(2582) == 10003959 > classify._D_MAX_BUDGET
+    with pytest.raises(gf.SearchExhausted, match="d_max = 10000001 refused"):
+        enumerate_admissible(3, 10 ** 7 + 1)
+
+
 def test_predicted_signatures():
     assert [s.astuple() for s in predicted_signatures(3, 12)] == [(4, 1, 3), (6, 1, 4)]
     assert [s.astuple() for s in predicted_signatures(2, 5)] == [(3, 1, 2)]

@@ -107,6 +107,24 @@ def test_a_huge_prime_q_exits_4_naming_the_field_and_budget(argv):
         f"{(10 ** 18 + 3) ** 2 - 1} needs more than 1000000 trial divisors\n")
 
 
+@pytest.mark.parametrize("argv,d_max", [
+    (["classify", "--q", "9", "--max-d", "1000000000"], 10 ** 9),
+    (["classify", "--q", "3", "--max-d", "10000001"], 10 ** 7 + 1),
+    (["classify", "--q", "2591"], 10073808),
+])
+def test_a_d_max_past_the_budget_exits_4_naming_it(argv, d_max):
+    """The signature count lists d_max + 1 integers twice, so a d_max past
+    10^7, given or the default (3q(q + 1) + 1)/2 at q = 2591 (the least
+    prime power past 2581), is refused in one line before any signature
+    is visited; --max-d 10^9 ran past a 60 s timeout before."""
+    start = time.perf_counter()
+    proc = run_process(argv, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == (f"signature count to d_max = {d_max} refused: "
+                           f"{d_max} degrees > budget 10000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--q", str(2 ** 89 - 1)],
     ["classify", "--q", str(10000000000037 * 10000000001011)],

@@ -25,7 +25,8 @@ from hermitia.orbit import (INFINITE, BigForm, OrbitError, SearchExhausted,
 
 from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import (_group_is_cyclic, _pgl2_elements, act_by_cells,
-                     curve_point, diagonal_scan_stabilizer,
+                     all_cosets_equivalence, curve_point,
+                     diagonal_scan_stabilizer,
                      full_small_stabilizer, normalize_to_rep, scale)
 
 
@@ -417,14 +418,23 @@ def test_lambda_family_inequivalent_over_gf4():
 
 
 def test_pairwise_equivalence_shares_sympow_per_coset_and_degree(monkeypatch):
-    """One sympow and one set of Frobenius rows per torus coset and source
-    degree, however many sources of that degree: one degree-6 form, listed
-    first so that it is a source, and four degree-3 forms over GF(16), 272
-    cosets, no witness.  Only the pairs i < j are scanned, so the last form
-    is no source: four acts per coset, one of them on the sextic."""
+    """One sympow and one set of Frobenius rows per scanned torus coset and
+    source degree, however many sources of that degree: one degree-6 form,
+    listed first so that it is a source, and four degree-3 forms over
+    GF(16), no witness.  Every cell lies in GF(4), so one coset per orbit
+    of x -> x^4 is scanned, 146 of 272.  Only the pairs i < j are scanned,
+    so the last form is no source, and a source gets the full act on a
+    coset exactly when its image, computed here by the oracle act, is zero
+    on every cell outside its targets' supports."""
     lams = [embed_qprime(inflate_case1(q2_lambda_member(lam)), CASE_C1, 2)
             for lam in range(4)]
     sextic = embed_qprime(case_target(CASE_C2, 2), CASE_C2, 2)
+    fld = gf.make_field(2, 4)
+    forms = [m.lift_to(fld) for m in [sextic] + lams]
+    scanned = list(_torus_cosets(fld, 4))
+    expected = [M.n for h in scanned for i, M in enumerate(forms[:-1])
+                if set(act_by_cells(M, h).cells) <=
+                set().union(*(N.cells for N in forms[i + 1:]))]
     degrees, frobenius, acted = [], [], []
     real_sympow, real_rows, real_act = (orbit.sympow, orbit._frobenius_rows,
                                         orbit.act)
@@ -434,11 +444,13 @@ def test_pairwise_equivalence_shares_sympow_per_coset_and_degree(monkeypatch):
                         frobenius.append(phi.rows) or real_rows(phi, q, rows))
     monkeypatch.setattr(orbit, "act",
                         lambda M, *rest: acted.append(M.n) or real_act(M, *rest))
-    verdicts = pairwise_equivalence([sextic] + lams, gf.make_field(2, 4))
+    verdicts = pairwise_equivalence([sextic] + lams, fld)
     assert len(verdicts) == 20 and all(v is None for v in verdicts.values())
-    assert sorted(degrees) == [3] * 272 + [6] * 272
-    assert sorted(frobenius) == [4] * 272 + [7] * 272
-    assert sorted(acted) == [4] * 3 * 272 + [7] * 272
+    assert len(scanned) == 146
+    assert sorted(degrees) == [3] * 146 + [6] * 146
+    assert sorted(frobenius) == [4] * 146 + [7] * 146
+    assert sorted(acted) == sorted(expected)
+    assert 0 < len(acted) < 4 * 146
 
 
 def test_act_refuses_phi_of_another_degree_or_field():
@@ -570,6 +582,45 @@ def test_torus_cosets_refuse_gf512_before_generating():
         _torus_cosets(gf.make_field(2, 9))
 
 
+@pytest.mark.parametrize("p,m,k", [(2, 4, 2), (2, 4, 1), (2, 6, 3), (2, 6, 2),
+                                   (3, 4, 2)])
+def test_torus_cosets_one_per_frobenius_orbit(p, m, k, monkeypatch):
+    """sigma: x -> x^r, GF(r) = GF(p^k) inside GF(p^m), maps the
+    representatives onto themselves entry by entry.  Given r, exactly the
+    first of each sigma-orbit, in order, is generated, and their number is
+    Burnside's count of orbits, (1/K) times the sum over j < K of
+    s (s + 1), s = r^gcd(j, K), K = m / k: 146 for GF(16) over GF(4).
+    pairwise_equivalence scans that many cosets when its forms' cells
+    generate GF(r): a rank-one form and a rank-two one, never equivalent."""
+    fld, r, K = gf.make_field(p, m), p ** k, m // k
+
+    def sigma(key):
+        return tuple(tuple(fld.pow(x, r) for x in row) for row in key)
+    every = [h.key() for h in _torus_cosets(fld)]
+    assert {sigma(key) for key in every} == set(every)
+    firsts, seen = [], set()
+    for key in every:
+        if key not in seen:
+            firsts.append(key)
+            for _ in range(K):
+                seen.add(key)
+                key = sigma(key)
+    scanned = [h.key() for h in _torus_cosets(fld, r)]
+    assert scanned == firsts
+    burnside = sum(s * (s + 1) for s in (r ** math.gcd(j, K) for j in range(K)))
+    assert len(scanned) * K == burnside
+    assert (p, m, k) != (2, 4, 2) or len(scanned) == 146
+    gen = fld.exp_gen((fld.order - 1) // (r - 1))
+    forms = [BigForm(CASE_C1, p, 4, fld, {(0, 0): gen}),
+             BigForm(CASE_C1, p, 4, fld, {(0, 0): 1, (1, 1): 1})]
+    degrees = []
+    real_sympow = orbit.sympow
+    monkeypatch.setattr(orbit, "sympow",
+                        lambda g, d: degrees.append(d) or real_sympow(g, d))
+    assert set(pairwise_equivalence(forms, fld).values()) == {None}
+    assert len(degrees) == len(scanned)
+
+
 def _random_form(case, q, fld, rng, cells=None):
     """A big form with random nonzero values on `cells`, or on one to five
     random cells of the whole (d+1)x(d+1) grid."""
@@ -693,6 +744,55 @@ def test_unordered_scan_matches_gl2_scan_with_partners_on_both_sides():
     verdicts = pairwise_equivalence(forms, f4)
     assert {k for k, g in verdicts.items() if g is not None} == \
         {(i, j) for i in (0, 2, 3) for j in (0, 2, 3) if i != j}
+
+
+def _subfield_order(fld, forms):
+    """The order of the least subfield of fld holding every cell."""
+    values = {v for M in forms for v in M.lift_to(fld).cells.values()}
+    return min(fld.p ** k for k in range(1, fld.m + 1) if fld.m % k == 0
+               and all(fld.pow(v, fld.p ** k) == v for v in values))
+
+
+def _all_cosets_cases():
+    """(forms, search field, least subfield order, witnesses): the seven
+    reps-q2 forms over GF(16); planted images under GL2(GF(4)) of two of
+    them, over GF(16), where x -> x^4 halves the scan; a planted image
+    under GL2(GF(16)), whose cells fill GF(16); and the c3 q = 3
+    representative with a planted image, over GF(9) and over GF(81)."""
+    f4, f9, f16 = gf.gfq2(2), gf.gfq2(3), gf.make_field(2, 4)
+    params = q2_parameter_matrices() + [q2_lambda_member(lam) for lam in range(4)]
+    reps = [embed_qprime(inflate_case1(p), CASE_C1, 2) for p in params]
+    yield pytest.param(reps, f16, 4, 0, id="reps-q2")
+    for seed in range(6):
+        rng = random.Random(seed)
+        yield pytest.param([reps[4], act(reps[4], _invertible(f4, rng)),
+                            reps[0], act(reps[0], _invertible(f4, rng)),
+                            act(reps[4], _invertible(f4, rng))], f16, 4, 8,
+                           id=f"planted-gf4-{seed}")
+    M = reps[4].lift_to(f16)
+    yield pytest.param([M, reps[1], act(M, _invertible(f16, random.Random(16)))],
+                       f16, 16, 2, id="gf16-cells")
+    rep = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
+    c3 = [rep, act(rep, _invertible(f9, random.Random(4)))]
+    yield pytest.param(c3, f9, 9, 2, id="c3-q3-gf9")
+    yield pytest.param(c3, gf.gf_ext(3, 2), 9, 2, id="c3-q3-gf81")
+
+
+@pytest.mark.parametrize("forms,fld,r,witnesses", list(_all_cosets_cases()))
+def test_pairwise_equivalence_matches_the_all_cosets_scan(forms, fld, r,
+                                                          witnesses):
+    """The descent and support lemmas change no verdict and no witness:
+    the same {(i, j): g} as the scan over every coset with a full act per
+    source (oracles.all_cosets_equivalence), each witness moving its form
+    onto a multiple of its partner."""
+    assert _subfield_order(fld, forms) == r
+    verdicts = pairwise_equivalence(forms, fld)
+    assert verdicts == all_cosets_equivalence(forms, fld)
+    assert sum(g is not None for g in verdicts.values()) == witnesses
+    lifted = [M.lift_to(fld) for M in forms]
+    for (i, j), g in verdicts.items():
+        if g is not None:
+            assert proportional(act(lifted[i], g), lifted[j]) is not None
 
 
 @pytest.mark.parametrize("m,order", [(1, 16), (2, 720)])

@@ -1,8 +1,9 @@
-"""An independent re-check of `build` reports, from their bytes alone.
+"""An independent re-check of `build` and `count` reports, from their
+bytes alone.
 
 Nothing here imports hermitia: the reports come from golden files or from
-the CLI run as a separate process.  From each report's `field` dict (p, m
-and the modulus, low to high) the checker does its own polynomial
+the CLI run as a separate process.  From each build report's `field` dict
+(p, m and the modulus, low to high) the checker does its own polynomial
 arithmetic over GF(p) and re-decides the two verdicts a report states:
 
 - nonplanar: the 4x4 frame F is invertible, by Gaussian elimination;
@@ -12,7 +13,9 @@ arithmetic over GF(p) and re-decides the two verdicts a report states:
   and e = (0, i, j, d), so it vanishes exactly when, for every exponent k,
   the B[l][m] with e_l + q e_m = k sum to zero.
 
-Every report checked here is of a --fermat build.
+Every build report checked here is of a --fermat build.  A count report's
+aut_order is re-derived from q alone as |PGU(4, q)|, and each entry with a
+stab_order must satisfy count x stab_order = aut_order (orbit-stabilizer).
 """
 
 import json
@@ -136,13 +139,12 @@ def test_golden_build_rechecks(name):
     assert (report["on_surface"], report["nonplanar"]) == (True, True)
 
 
-def _run_build(q, case):
+def _run_cli(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "hermitia.cli", "build", "--q", str(q),
-         "--case", case, "--fermat"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("case,q", [("c2", 8), ("c3", 5), ("c3", 7),
@@ -151,7 +153,7 @@ def test_cli_build_rechecks(case, q):
     """The builds pinned by stdout digest (c2 q = 8, c3 q = 5 and 7), and
     c2 q = 16 and c3 q = 11, whose three-cycle field GF(q^6) the closed
     form reaches where a scan over it could not run."""
-    proc = _run_build(q, case)
+    proc = _run_cli("build", "--q", str(q), "--case", case, "--fermat")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["curve"]["q"] == q
@@ -171,3 +173,58 @@ def test_a_flipped_frame_coefficient_fails_the_recheck():
         coeffs[0] = (coeffs[0] + 1) % p
         assert coeffs != entries[k]
         assert recheck(flipped)[0] is False, k
+
+
+def pgu4_order(q):
+    """|PGU(4, q)| = q^6 (q^2 - 1)(q^3 + 1)(q^4 - 1)."""
+    return q ** 6 * (q ** 2 - 1) * (q ** 3 + 1) * (q ** 4 - 1)
+
+
+def recheck_count(report):
+    """Every entry's aut_order is |PGU(4, q)|, and count x stab_order equals
+    it wherever stab_order is not null."""
+    q = report["q"]
+    return bool(report["cases"]) and all(
+        e["aut_order"] == pgu4_order(q) and
+        (e["stab_order"] is None or e["count"] * e["stab_order"] == e["aut_order"])
+        for e in report["cases"])
+
+
+GOLDEN_COUNTS = sorted(p.name for p in GOLDEN.glob("count_*.json"))
+
+
+def test_pgu4_orders():
+    assert pgu4_order(2) == 25920
+    assert pgu4_order(3) == 13063680
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTS)
+def test_golden_count_rechecks(name):
+    assert recheck_count(json.loads((GOLDEN / name).read_text()))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 10 ** 18 + 3])
+def test_cli_count_rechecks(q):
+    proc = _run_cli("count", "--q", str(q))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["q"] == q and len(report["cases"]) == 2
+    assert all(e["stab_order"] is not None for e in report["cases"])
+    assert recheck_count(report)
+
+
+@pytest.mark.parametrize("name", ["count_q3.json", "count_q4.json",
+                                  "count_q5.json"])
+def test_a_changed_count_field_fails_the_recheck(name):
+    """Adding one to q, or to the aut_order, count or stab_order of any one
+    entry, fails the check."""
+    report = json.loads((GOLDEN / name).read_text())
+    assert recheck_count(report)
+    changed = json.loads(json.dumps(report))
+    changed["q"] += 1
+    assert not recheck_count(changed)
+    for k in range(len(report["cases"])):
+        for field in ("aut_order", "count", "stab_order"):
+            changed = json.loads(json.dumps(report))
+            changed["cases"][k][field] += 1
+            assert not recheck_count(changed), (k, field)
