@@ -127,13 +127,72 @@ def _emit(doc: dict, cfg) -> None:
 
 
 def _write(doc: dict, fmt: str, write) -> None:
-    if fmt == "tsv":
-        write("\n".join(f"{key}\t{val}" for key, val in _flatten(doc)) + "\n")
+    if fmt == "tsv":  # the lines joined by newlines, plus one, _CHUNK per write
+        lines, sep = [], ""
+        for key, val in _flatten(doc):
+            lines.append(f"{sep}{key}\t{val}")
+            sep = "\n"
+            if len(lines) >= _CHUNK:
+                write("".join(lines))
+                lines.clear()
+        lines.append("\n")
+        write("".join(lines))
     else:
         _write_json(doc, write)
 
 
 _CHUNK = 2048  # pieces per write; with PYTHONUNBUFFERED every write is a syscall
+
+
+class _Stars:
+    """The elements of a stabilizer report, written as the Mat.to_json dicts
+    of the diagonal matrices whose diagonals are `stars` (tuples of packed
+    elements of `field`), but built one at a time, or not at all."""
+
+    def __init__(self, field, stars):
+        self.field = field
+        self.stars = stars
+
+    def __iter__(self):  # what _flatten walks
+        for star in self.stars:
+            yield Mat.diagonal(self.field, star).to_json()
+
+    def json_texts(self, level: int):
+        """The json.dumps text of the list at indent level `level`, one
+        element per piece.  The text of the zero entry and of the field is
+        made once; every nonzero entry is rendered from its packed int, as
+        nearly all of them differ."""
+        f, p, m = self.field, self.field.p, self.field.m
+
+        def at(obj, k):  # obj's text as a value at indent level k
+            return json.dumps(obj, indent=2, sort_keys=True).replace(
+                "\n", "\n" + "  " * k)
+
+        ind = ["\n" + "  " * k for k in range(level + 5)]
+        n = len(self.stars[0])
+        zero, sep = at([0] * m, level + 3), "," + ind[level + 3]
+        between = sep + (zero + sep) * n  # the zeros between two diagonal cells
+        head = (f'{{{ind[level + 2]}"cols": {n},{ind[level + 2]}"entries": ['
+                + ind[level + 3])
+        tail = (f'{ind[level + 2]}],{ind[level + 2]}"field": '
+                f'{at(gf.field_to_json(f), level + 2)},{ind[level + 2]}'
+                f'"rows": {n}{ind[level + 1]}}}')
+        open_, digit, close = "[" + ind[level + 4], "," + ind[level + 4], ind[level + 3] + "]"
+
+        def entry(x):
+            if not x:
+                return zero
+            digits = []
+            for _ in range(m):
+                x, r = divmod(x, p)
+                digits.append(str(r))
+            return open_ + digit.join(digits) + close
+
+        start = "[" + ind[level + 1]
+        for star in self.stars:
+            yield start + head + between.join(map(entry, star)) + tail
+            start = "," + ind[level + 1]
+        yield ind[level] + "]"
 
 
 def _write_json(doc, write) -> None:
@@ -162,6 +221,11 @@ def _write_json(doc, write) -> None:
                 put(o[k], level + 1)
                 open_ = ",\n" + "  " * (level + 1)
             pieces.append("\n" + "  " * level + "}")
+        elif isinstance(o, _Stars):
+            write("".join(pieces))  # an element is a few kB: one write each
+            pieces.clear()
+            for text in o.json_texts(level):
+                write(text)
         elif isinstance(o, (list, tuple)):
             if not o:
                 pieces.append("[]")
@@ -195,7 +259,7 @@ def _flatten(doc, prefix=""):
     if isinstance(doc, dict):
         for k in sorted(doc):
             yield from _flatten(doc[k], f"{prefix}{k}.")
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, _Stars)):
         for i, v in enumerate(doc):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
@@ -281,7 +345,16 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> int:
     if cfg.q < 3:
         raise InputError(f"stabilizer scans need q >= 3, got q={cfg.q}")
     report = stabilizer_search(cfg.case, cfg.q, samples=cfg.samples)
-    _emit(report.to_json(), cfg)
+    _emit({
+        "case": report.case, "q": report.q, "mode": "diagonal_exhaustive",
+        "search_field": gf.field_to_json(report.field),
+        "order": report.order, "cyclic": report.cyclic,
+        "predicted_order": report.predicted_order,
+        "match": report.matches_prediction,
+        "nondiagonal_samples": report.nondiagonal_samples,
+        "nondiagonal_hits": report.nondiagonal_hits,
+        "elements": _Stars(report.field, report.elements),
+    }, cfg)
     if report.matches_prediction:
         return EXIT_OK
     # the group is cyclic by construction, so only the order can disagree

@@ -742,7 +742,7 @@ class StabilizerReport:
         self.case = case
         self.q = q
         self.field = field
-        self.elements = elements  # projective 4x4 star matrices, scalar-normalized
+        self.elements = elements  # sorted diagonals of the stars, packed ints
         self.order = order
         self.cyclic = cyclic
         self.predicted_order = predicted_order
@@ -752,26 +752,15 @@ class StabilizerReport:
     def matches_prediction(self) -> bool:
         return self.order == self.predicted_order and self.cyclic
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case, "q": self.q, "mode": "diagonal_exhaustive",
-            "search_field": gf.field_to_json(self.field),
-            "order": self.order, "cyclic": self.cyclic,
-            "predicted_order": self.predicted_order,
-            "match": self.matches_prediction,
-            "nondiagonal_samples": self.nondiagonal_samples,
-            "nondiagonal_hits": self.nondiagonal_hits,
-            "elements": [e.to_json() for e in self.elements],
-        }
-
 
 def diagonal_stabilizer(M: BigForm) -> list:
     """Sorted projective stars diag(1, x^-i, x^-j, x^-d) of every diag(x, 1)
-    over M's field fixing M up to a scalar.  The fixing x are the powers of
-    x^step, step = |F*| / diagonal_fixing_order, so one walk steps that
-    generator's star entry by entry until it returns to the identity: the
-    group is cyclic by construction, and its order is the walk's length.
-    diag(a, e) acts as diag(a/e, 1) projectively.
+    over M's field fixing M up to a scalar, each as the tuple of its
+    diagonal: tuple order is Mat.key order for diagonal matrices.  The
+    fixing x are the powers of x^step, step = |F*| / diagonal_fixing_order,
+    so one walk steps that generator's star entry by entry until it returns
+    to the identity: the group is cyclic by construction, and its order is
+    the walk's length.  diag(a, e) acts as diag(a/e, 1) projectively.
 
     Lemma (order).  On the representative's support cells (0, i), (i, d),
     (j, j) and (d, 0) the diag_weight exponents differ by 0 and
@@ -782,14 +771,16 @@ def diagonal_stabilizer(M: BigForm) -> list:
     mul = f.mul
     n = f.order - 1
     step = n // diagonal_fixing_order(M, n)
-    gen = [f.exp_gen(-step * k % n)
-           for k in case_signature(M.case, M.q).exponents]
-    stars, cur = [], [1] * len(gen)
+    gen = tuple(f.exp_gen(-step * k % n)
+                for k in case_signature(M.case, M.q).exponents)
+    one = cur = (1,) * len(gen)
+    stars = []
     while True:
-        stars.append(Mat.diagonal(f, cur))
-        cur = [mul(x, y) for x, y in zip(cur, gen)]
-        if all(x == 1 for x in cur):
-            return sorted(stars, key=Mat.key)
+        stars.append(cur)
+        cur = tuple(map(mul, cur, gen))
+        if cur == one:
+            stars.sort()
+            return stars
 
 
 def nondiagonal_excluded(M: BigForm) -> bool:
@@ -852,8 +843,12 @@ def stabilizer_search(case: str, q: int,
     rep = canonical_rep(case, q)
     fld = gf.gf_ext(q, 3)
     big = embed_qprime(rep, case, q).lift_to(fld)
-    elems = diagonal_stabilizer(big)
     if not nondiagonal_excluded(big):
         raise OrbitError("internal: the support rows leave a non-diagonal g open")
-    return StabilizerReport(case, q, fld, elems, len(elems), True,
+    order = diagonal_fixing_order(big, fld.order - 1)
+    stars = diagonal_stabilizer(big)
+    if len(stars) != order:
+        raise OrbitError(f"internal: the walk lists {len(stars)} stars, "
+                         f"not D = {order}")
+    return StabilizerReport(case, q, fld, stars, order, True,
                             stab_order(case, q), samples)

@@ -199,11 +199,32 @@ def full_small_report(M) -> dict:
     """The JSON report of the full GL2 scan, in the layout the stabilizer
     command prints, with "mode": "full_small"."""
     elems = full_small_stabilizer(M)
-    doc = StabilizerReport(M.case, M.q, M.field, elems, len(elems),
-                           _group_is_cyclic(elems),
-                           stab_order(M.case, M.q)).to_json()
-    doc["mode"] = "full_small"
-    return doc
+    rep = StabilizerReport(M.case, M.q, M.field, None, len(elems),
+                           _group_is_cyclic(elems), stab_order(M.case, M.q))
+    return stabilizer_json(rep, elems, mode="full_small")
+
+
+def star_mats(rep) -> list:
+    """A StabilizerReport's elements as the 4x4 diagonal Mats they stand for."""
+    return [Mat.diagonal(rep.field, star) for star in rep.elements]
+
+
+def stabilizer_json(rep, elements=None, mode="diagonal_exhaustive") -> dict:
+    """The report as one dict, each element (star_mats by default) a
+    Mat.to_json dict: the document the stabilizer command streams, built
+    whole.  json.dumps(indent=2, sort_keys=True) of it plus a newline is
+    the command's stdout."""
+    elements = star_mats(rep) if elements is None else elements
+    return {
+        "case": rep.case, "q": rep.q, "mode": mode,
+        "search_field": gf.field_to_json(rep.field),
+        "order": rep.order, "cyclic": rep.cyclic,
+        "predicted_order": rep.predicted_order,
+        "match": rep.matches_prediction,
+        "nondiagonal_samples": rep.nondiagonal_samples,
+        "nondiagonal_hits": rep.nondiagonal_hits,
+        "elements": [e.to_json() for e in elements],
+    }
 
 
 # -- normalization to the representative ---------------------------------------

@@ -18,6 +18,7 @@ from hermitia.cli import main
 from hermitia.matff import Mat
 from hermitia.orbit import stabilizer_search
 from matrices import random_hermitian_invertible
+from oracles import stabilizer_json
 
 
 def run(argv, capsys):
@@ -658,7 +659,7 @@ def test_json_writer_matches_json_dumps(doc, monkeypatch):
 def test_json_writer_matches_json_dumps_on_stabilizer_reports(case, q):
     """The largest reports the CLI writes, 2.3 to 23.8 MB, full of repeated
     coefficient lists; each write carries a chunk, never a single token."""
-    doc = stabilizer_search(case, q, samples=0).to_json()
+    doc = stabilizer_json(stabilizer_search(case, q, samples=0))
     parts = []
     cli._write_json(doc, parts.append)
     text = "".join(parts)
@@ -671,7 +672,7 @@ def test_json_writer_holds_a_fraction_of_its_output():
     and, with indent set, a list of all its pieces besides.  The writer
     holds one chunk and the cached text of each distinct int list: under
     a quarter of the output at its peak."""
-    doc = stabilizer_search("c2", 16, samples=0).to_json()
+    doc = stabilizer_json(stabilizer_search("c2", 16, samples=0))
     size = 0
 
     def count(text):
@@ -686,3 +687,67 @@ def test_json_writer_holds_a_fraction_of_its_output():
         tracemalloc.stop()
     assert size > 20_000_000
     assert peak < size / 4, peak / size
+
+
+_STREAMED = [("c2", 4), ("c2", 8), ("c2", 16), ("c3", 3), ("c3", 5),
+             ("c3", 7), ("c3", 19)]
+
+
+@pytest.mark.parametrize("case,q", _STREAMED,
+                         ids=[f"{case}_q{q}" for case, q in _STREAMED])
+def test_stabilizer_stdout_is_json_dumps_of_the_whole_report(case, q, capsys):
+    """The command writes each element's text from its packed diagonal as
+    it goes; the bytes are those of json.dumps on the report built whole,
+    with every element a Mat.to_json dict."""
+    code, out = run(["stabilizer", "--q", str(q), "--case", case,
+                     "--samples", "0"], capsys)
+    doc = stabilizer_json(stabilizer_search(case, q, samples=0))
+    assert code == (0 if doc["match"] else 2)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _joined_tsv(doc) -> str:
+    return "\n".join(f"{key}\t{val}" for key, val in cli._flatten(doc)) + "\n"
+
+
+def test_tsv_stabilizer_report_is_the_joined_lines(capsys):
+    code, out = run(["stabilizer", "--q", "8", "--case", "c2", "--samples",
+                     "0", "--format", "tsv"], capsys)
+    assert code == 0
+    assert out == _joined_tsv(stabilizer_json(stabilizer_search("c2", 8,
+                                                                samples=0)))
+
+
+def test_tsv_classify_report_is_the_joined_lines(monkeypatch, capsys):
+    """Three lines per write, so the report spans many writes."""
+    docs, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda doc, cfg: emit(docs.append(doc) or doc, cfg))
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    code, out = run(["classify", "--q", "5", "--format", "tsv"], capsys)
+    assert code == 0 and out.count("\n") > 10
+    assert out == _joined_tsv(docs[0])
+
+
+def test_stabilizer_command_holds_a_tenth_of_its_output(monkeypatch):
+    """stabilizer --q 16 --case c2 writes 23.8 MB.  From the search to the
+    last write, the command's traced peak stays under a tenth of that: the
+    stars as packed ints, one element's text at a time."""
+    size = 0
+
+    class Sink:
+        @staticmethod
+        def write(text):
+            nonlocal size
+            size += len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink)
+    tracemalloc.start()
+    try:
+        assert main(["stabilizer", "--q", "16", "--case", "c2",
+                     "--samples", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 23_759_015
+    assert peak < size / 10, peak / size

@@ -110,6 +110,26 @@ def test_largest_table_stdout_digest(argv, code, sha256, capsys):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,code,size,sha256", [
+    (["stabilizer", "--q", "16", "--case", "c2", "--samples", "0"], 0,
+     23_759_015,
+     "5125ed5b5a706813272694c3f12a9229c41fc50e756fc7ae4f6550a23e98c502"),
+    (["stabilizer", "--q", "19", "--case", "c3", "--samples", "0"], 2,
+     6_275_792,
+     "8fedb75809db060bd03648ad5316505ad8da4fa4b74e99cbfec93c242f72494d"),
+], ids=["stabilizer_c2_q16", "stabilizer_c3_q19"])
+def test_large_stabilizer_listing_stdout_digest(argv, code, size, sha256,
+                                                capsys):
+    """The largest listings in the suite, 4,097 and 3,430 elements, pinned
+    by the size and digest of stdout as written when the report was built
+    whole, each element a Mat, before the command wrote each element's
+    text from its packed diagonal as it went."""
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode()
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
 def test_stabilizer_c3_q3_full_small_gf9_report():
     M = embed_qprime(canonical_rep(CASE_C3, 3), CASE_C3, 3)
     text = json.dumps(full_small_report(M), indent=2, sort_keys=True) + "\n"

@@ -27,7 +27,8 @@ from matrices import mat_from_ints, random_hermitian_invertible, random_mat
 from oracles import (_group_is_cyclic, _pgl2_elements, act_by_cells,
                      all_cosets_equivalence, curve_point,
                      diagonal_scan_stabilizer,
-                     full_small_stabilizer, normalize_to_rep, scale)
+                     full_small_stabilizer, normalize_to_rep, scale,
+                     stabilizer_json, star_mats)
 
 
 # -- counting formulas ---------------------------------------------------------
@@ -838,10 +839,11 @@ def test_stabilizer_c3_q3_exhaustive_diagonal():
     assert rep.predicted_order == 7
     assert not rep.matches_prediction
     assert rep.nondiagonal_hits == 0
-    keys = {e.key() for e in rep.elements}
-    f = rep.elements[0].field
-    for e1 in rep.elements:
-        for e2 in rep.elements:
+    elements = star_mats(rep)
+    keys = {e.key() for e in elements}
+    f = rep.field
+    for e1 in elements:
+        for e2 in elements:
             prod = e1.mul(e2)
             nz = next(v for row in prod.data for v in row if v)
             assert scale(prod, f.inv(nz)).key() in keys
@@ -849,9 +851,9 @@ def test_stabilizer_c3_q3_exhaustive_diagonal():
 
 def test_stabilizer_c3_q3_contains_order_two_element():
     rep = stabilizer_search(CASE_C3, 3, samples=0)
-    f = rep.elements[0].field
+    f = rep.field
     order2 = Mat.diagonal(f, [1, 1, f.neg(1), 1])
-    assert order2.key() in {e.key() for e in rep.elements}
+    assert order2.key() in {e.key() for e in star_mats(rep)}
 
 
 def test_stabilizer_c3_q3_full_gl2_over_gf9():
@@ -874,9 +876,9 @@ def test_stabilizer_c2_q4_matches_prediction():
 def test_stabilizer_sample_count_costs_nothing():
     """Nothing is drawn: 10^12 samples give the samples=0 report, apart
     from the echoed count, at once."""
-    none = stabilizer_search(CASE_C3, 3, samples=0).to_json()
+    none = stabilizer_json(stabilizer_search(CASE_C3, 3, samples=0))
     t0 = time.perf_counter()
-    many = stabilizer_search(CASE_C3, 3, samples=10 ** 12).to_json()
+    many = stabilizer_json(stabilizer_search(CASE_C3, 3, samples=10 ** 12))
     assert time.perf_counter() - t0 < 0.25
     assert (none.pop("nondiagonal_samples"), many.pop("nondiagonal_samples")) \
         == (0, 10 ** 12)
@@ -891,7 +893,33 @@ def test_generator_order_certificate_matches_power_walk_oracle(case, q):
     oracle that walks the powers of every element agrees."""
     rep = stabilizer_search(case, q, samples=0)
     assert rep.order == len(rep.elements)
-    assert rep.cyclic and _group_is_cyclic(rep.elements)
+    assert rep.cyclic and _group_is_cyclic(star_mats(rep))
+
+
+@pytest.mark.parametrize("case,q", [
+    (CASE_C2, 4), (CASE_C2, 8), (CASE_C2, 16), (CASE_C2, 32),
+    (CASE_C3, 3), (CASE_C3, 5), (CASE_C3, 7), (CASE_C3, 9), (CASE_C3, 11),
+    (CASE_C3, 19),
+])
+def test_stabilizer_order_is_D_and_the_walk_lists_D_stars(case, q):
+    """The order is D = q^3 + 1 (c2) or (q^3 + 1)/2 (c3), from integers, and
+    the walk over GF(q^6) lists exactly D distinct stars, sorted."""
+    rep = stabilizer_search(case, q, samples=0)
+    D = q ** 3 + 1 if case == CASE_C2 else (q ** 3 + 1) // 2
+    assert rep.order == len(rep.elements) == D
+    assert all(a < b for a, b in zip(rep.elements, rep.elements[1:]))
+
+
+def test_a_walk_that_misses_D_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(orbit, "diagonal_stabilizer",
+                        lambda M, walk=orbit.diagonal_stabilizer: walk(M)[1:])
+    with pytest.raises(OrbitError, match="internal: the walk lists 13 stars, "
+                                         "not D = 14"):
+        stabilizer_search(CASE_C3, 3, samples=0)
+
+
+def _diagonal_mats(M) -> list:
+    return [Mat.diagonal(M.field, star) for star in diagonal_stabilizer(M)]
 
 
 @pytest.mark.parametrize("case,q,m", [
@@ -900,9 +928,10 @@ def test_generator_order_certificate_matches_power_walk_oracle(case, q):
 ])
 def test_diagonal_stabilizer_matches_diagonal_scan(case, q, m):
     """The gcd over the support gives the same sorted stars as the dense
-    act over every diag(r, 1) of GF(q^(2m))."""
+    act over every diag(r, 1) of GF(q^(2m)): the diagonals sorted as
+    tuples come in Mat.key order."""
     M = embed_qprime(canonical_rep(case, q), case, q).lift_to(gf.gf_ext(q, m))
-    assert diagonal_stabilizer(M) == diagonal_scan_stabilizer(M)
+    assert _diagonal_mats(M) == diagonal_scan_stabilizer(M)
 
 
 @pytest.mark.parametrize("case,q,m", [
@@ -919,7 +948,7 @@ def test_diagonal_stabilizer_matches_scan_on_random_supports(case, q, m):
         cells = {(r, c): rng.randrange(1, fld.order)
                  for r in pos for c in pos if rng.random() < 0.4}
         M = BigForm(case, q, pos[-1] + 1, fld, cells)
-        assert diagonal_stabilizer(M) == diagonal_scan_stabilizer(M)
+        assert _diagonal_mats(M) == diagonal_scan_stabilizer(M)
 
 
 @pytest.mark.parametrize("q,cases", [

@@ -16,6 +16,14 @@ arithmetic over GF(p) and re-decides the two verdicts a report states:
 Every build report checked here is of a --fermat build.  A count report's
 aut_order is re-derived from q alone as |PGU(4, q)|, and each entry with a
 stab_order must satisfy count x stab_order = aut_order (orbit-stabilizer).
+
+A stabilizer report lists 4x4 stars S over its search field GF(q^6).  Each
+must be diagonal with first entry 1, the list strictly increasing in the
+order of the entries' packed values (distinct, sorted), its length
+`order`, and `order` the D of q alone: q^3 + 1 for c2, (q^3 + 1)/2 for c3.
+S acts on the representative's 4x4 core C as t(S) C S^(q), which scales
+cell (l, m) by s_l s_m^q; each S must scale C's four support cells by one
+common factor.
 """
 
 import json
@@ -77,6 +85,21 @@ class PolyField:
     def inv(self, a):
         assert a != self.zero
         return self.pow(a, self.p ** self.m - 2)
+
+    def frobenius(self, q):
+        """x -> x^q, which is GF(p)-linear: the images of 1, x, ..., x^(m-1)
+        are computed once, and each image after is their combination."""
+        rows = [self.pow(tuple(int(k == t) for k in range(self.m)), q)
+                for t in range(self.m)]
+
+        def frob(a):
+            out = [0] * self.m
+            for c, row in zip(a, rows):
+                if c:
+                    for k, v in enumerate(row):
+                        out[k] += c * v
+            return tuple(x % self.p for x in out)
+        return frob
 
 
 def _frame(curve):
@@ -228,3 +251,105 @@ def test_a_changed_count_field_fails_the_recheck(name):
             changed = json.loads(json.dumps(report))
             changed["cases"][k][field] += 1
             assert not recheck_count(changed), (k, field)
+
+
+def stabilizer_order(case, q):
+    """D = q^3 + 1 for c2 and (q^3 + 1)/2 for c3."""
+    return q ** 3 + 1 if case == "c2" else (q ** 3 + 1) // 2
+
+
+def representative(case, q):
+    """The c2/c3 representative's 4x4 core, as integers: the case shape
+    [[0, b1, 0, b2], [0, 0, 0, b3], [0, 0, -b3, 0], [-b1, -b2, 0, 0]] at
+    (b1, b2, b3) = (1, 0, 1), the same for both cases at every q of the
+    case's parity."""
+    assert (case, q % 2) in (("c2", 0), ("c3", 1))
+    return [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0]]
+
+
+def recheck_stabilizer(report):
+    """Whether the report's elements are `order` = D distinct diagonal stars,
+    in packed order, with first entry 1, each scaling the representative's
+    support by one common factor."""
+    q, case, elements = report["q"], report["case"], report["elements"]
+    f = PolyField(report["search_field"])
+    if f.p ** f.m != q ** 6 or report["order"] != stabilizer_order(case, q):
+        return False
+    if len(elements) != report["order"]:
+        return False
+    stars = []
+    for e in elements:
+        if (e["rows"], e["cols"], e["field"]) != (4, 4, report["search_field"]):
+            return False
+        entries = e["entries"]
+        if len(entries) != 16 or any(any(entries[k]) for k in range(16) if k % 5):
+            return False
+        stars.append([f.element(entries[5 * k]) for k in range(4)])
+        if stars[-1][0] != f.one:
+            return False
+    # packed order: coefficients from the highest, off-diagonal zeros aside
+    keys = [tuple(x[::-1] for x in s) for s in stars]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    core = representative(case, q)
+    support = [(l, m) for l in range(4) for m in range(4) if core[l][m]]
+    frob = f.frobenius(q)
+    for s in stars:
+        sq = [frob(x) for x in s]
+        # s_l C[l][m] s_m^q = c C[l][m] with C[l][m] != 0 is s_l s_m^q = c
+        if len({f.mul(s[l], sq[m]) for l, m in support}) != 1:
+            return False
+    return True
+
+
+GOLDEN_STABILIZERS = sorted(p.name for p in GOLDEN.glob("stabilizer_*.json")
+                            if "full_small" not in p.name)
+
+
+def test_stabilizer_orders():
+    assert [stabilizer_order("c2", q) for q in (4, 16)] == [65, 4097]
+    assert [stabilizer_order("c3", q) for q in (3, 5, 7, 19)] == [14, 63, 172, 3430]
+
+
+def test_every_golden_stabilizer_is_found():
+    assert GOLDEN_STABILIZERS == ["stabilizer_c2_q4.json", "stabilizer_c3_q3.json"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_STABILIZERS)
+def test_golden_stabilizer_rechecks(name):
+    assert recheck_stabilizer(json.loads((GOLDEN / name).read_text()))
+
+
+@pytest.mark.parametrize("case,q", [("c3", 5), ("c3", 7), ("c3", 19),
+                                    ("c2", 16)])
+def test_cli_stabilizer_rechecks(case, q):
+    """The listings pinned by stdout digest at c3 q = 5, 7 and 19 and
+    c2 q = 16; c3 q = 7 and 19 exit 2, as their order is twice the closed
+    form (README finding 2)."""
+    proc = _run_cli("stabilizer", "--q", str(q), "--case", case,
+                    "--samples", "0")
+    report = json.loads(proc.stdout)
+    assert proc.returncode == (0 if report["match"] else 2), proc.stderr
+    assert (report["q"], report["case"]) == (q, case)
+    assert recheck_stabilizer(report)
+
+
+@pytest.mark.parametrize("name", GOLDEN_STABILIZERS)
+def test_a_changed_element_coefficient_fails_the_stabilizer_recheck(name):
+    """Adding one to a coefficient of any one entry of any one element,
+    the coefficient chosen in turn, fails the check; so does changing the
+    order, or q."""
+    report = json.loads((GOLDEN / name).read_text())
+    assert recheck_stabilizer(report)
+    p, m = report["search_field"]["p"], report["search_field"]["m"]
+    for k, element in enumerate(report["elements"]):
+        for u in range(16):
+            entries = [list(c) for c in element["entries"]]
+            entries[u][(k + u) % m] = (entries[u][(k + u) % m] + 1) % p
+            elements = list(report["elements"])
+            elements[k] = {**element, "entries": entries}
+            assert not recheck_stabilizer({**report, "elements": elements}), (k, u)
+    for field in ("order", "q"):
+        changed = json.loads(json.dumps(report))
+        changed[field] += 2
+        assert not recheck_stabilizer(changed), field
